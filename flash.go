@@ -127,10 +127,12 @@ func WithBlockBackend(bg *graph.BlockGraph) Option {
 	return func(c *core.Config) { c.BlockGraph = bg }
 }
 
-// WithBlockCacheBytes bounds the decoded-block cache budget shared evenly by
-// the engine's workers (default: 25% of the graph's decoded edge bytes,
-// minimum 1 MiB). Only meaningful with WithBlockBackend or a block-graph
-// handle.
+// WithBlockCacheBytes bounds the block cache budget shared evenly by the
+// engine's workers (default: 25% of the graph's decoded edge bytes,
+// BlockGraph.EdgeBytes, minimum 1 MiB). Blocks stay resident in their
+// encoded form and each is charged its payload plus its row index (4 bytes
+// per covered vertex); rows decode lazily as kernels walk them. Only
+// meaningful with WithBlockBackend or a block-graph handle.
 func WithBlockCacheBytes(n int64) Option {
 	return func(c *core.Config) { c.BlockCacheBytes = n }
 }

@@ -44,6 +44,12 @@
 // tables for contiguous vertex coverage and offset bounds, and a CRC32-C
 // (Castagnoli) per block at read time. A truncated, bit-flipped, or hostile
 // file fails loudly instead of decoding garbage topology.
+//
+// A read block stays in its encoded form. Reading it builds a row index
+// (the byte offset of each vertex's row) and checks framing in one pass; the
+// first load of each block also walks every row, checking every vid < n,
+// before any row is served. Rows then decode lazily in Block.Each, so a
+// kernel that stops after its first neighbour decodes one gap, not a block.
 package graph
 
 import (
@@ -52,8 +58,10 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"sync"
+	"sync/atomic"
 )
 
 // Block directions for BlockGraph.ReadBlock and BlockCache.Get.
@@ -91,46 +99,92 @@ type blockMeta struct {
 	crc    uint32
 }
 
-// DecodedBlock is one block's adjacency decoded into CSR form, the unit the
-// block cache holds: neighbor slices for every vertex in [First, First+nv).
-type DecodedBlock struct {
-	first VID
-	nv    int
-	base  int64   // global edge offset of the block's first edge
-	off   []int64 // global offsets, off[i] is vertex first+i (len nv+1)
-	adj   []VID
-	ws    []float32 // nil when unweighted
-	enc   int       // encoded size on disk (stats)
+// Block is one resident FLASHBLK block: its CRC-verified encoded payload and
+// a row index, the unit the block cache holds. Nothing is expanded up front;
+// Each decodes a vertex's gaps (and reads its trailing weights) as it yields
+// them, so a kernel that stops early pays only for the neighbours it saw.
+type Block struct {
+	first    VID
+	n        uint64   // vid bound: every neighbour id is < n
+	weighted bool     // each row's gaps are followed by 4 bytes per weight
+	off      []int64  // global degree offsets of rows first..first+nv (aliases the BlockGraph's)
+	rows     []uint32 // rows[i] is the payload offset of vertex first+i's row (len nv+1)
+	data     []byte   // the CRC-verified encoded payload
 }
 
 // First returns the first vertex the block covers.
-func (b *DecodedBlock) First() VID { return b.first }
+func (b *Block) First() VID { return b.first }
 
 // Contains reports whether v's adjacency lives in this block.
-func (b *DecodedBlock) Contains(v VID) bool {
-	return v >= b.first && int(v-b.first) < b.nv
+func (b *Block) Contains(v VID) bool {
+	return v >= b.first && int(v-b.first) < len(b.rows)-1
 }
 
-// Adj returns v's neighbor slice and aligned weights (nil when unweighted).
-// v must be inside the block. Callers must not modify the slices.
+// Each decodes v's row in ascending neighbour order, calling yield with each
+// neighbour and its weight (0 when unweighted) until yield returns false. v
+// must be inside the block. Every decoded id is range-checked; a row naming
+// a vertex outside the graph returns an error wrapping a *VIDRangeError.
 //
 //flash:hotpath
-func (b *DecodedBlock) Adj(v VID) ([]VID, []float32) {
+func (b *Block) Each(v VID, yield func(VID, float32) bool) error {
 	i := int(v - b.first)
-	lo, hi := b.off[i]-b.base, b.off[i+1]-b.base
-	if b.ws == nil {
-		return b.adj[lo:hi], nil
+	deg := int(b.off[i+1] - b.off[i])
+	p, wp := int(b.rows[i]), int(b.rows[i+1])
+	weighted, n := b.weighted, b.n
+	if weighted {
+		wp -= 4 * deg
 	}
-	return b.adj[lo:hi], b.ws[lo:hi]
+	gaps, ws := b.data[:wp], b.data[wp:]
+	var prev uint64
+	for k := 0; k < deg; k++ {
+		// One- and two-byte gaps dominate sorted adjacency; longer ones take
+		// the library decoder, which also rejects overlong encodings.
+		x := uint64(gaps[p])
+		p++
+		if x >= 0x80 {
+			if y := uint64(gaps[p]); y < 0x80 {
+				x = x&0x7f | y<<7
+				p++
+			} else {
+				var sz int
+				if x, sz = binary.Uvarint(gaps[p-1:]); sz <= 0 {
+					return fmt.Errorf("graph: block row of vertex %d has a malformed uvarint", v)
+				}
+				p += sz - 1
+			}
+		}
+		prev += x // the first value is absolute, the rest are gaps
+		if prev >= n {
+			return fmt.Errorf("graph: block row of vertex %d: %w", v, &VIDRangeError{Vertex: v, VID: prev, N: n})
+		}
+		var w float32
+		if weighted {
+			w = math.Float32frombits(binary.LittleEndian.Uint32(ws[4*k:]))
+		}
+		if !yield(VID(prev), w) {
+			return nil
+		}
+	}
+	return nil
 }
 
-// Bytes returns the decoded resident footprint, the unit of cache accounting.
-func (b *DecodedBlock) Bytes() int64 {
-	return int64(cap(b.adj))*4 + int64(cap(b.ws))*4 + 64
+// Bytes returns the block's resident footprint, the unit of cache
+// accounting: the encoded payload plus its row index.
+func (b *Block) Bytes() int64 {
+	return int64(cap(b.data)) + int64(cap(b.rows))*4 + 64
 }
 
-// EncLen returns the block's encoded size on disk.
-func (b *DecodedBlock) EncLen() int { return b.enc }
+// VIDRangeError reports a block row naming a neighbour outside [0, N). The
+// block passed its CRC, so the file was written wrong or is hostile.
+type VIDRangeError struct {
+	Vertex VID    // the row's vertex
+	VID    uint64 // the decoded neighbour id
+	N      uint64 // the graph's vertex count
+}
+
+func (e *VIDRangeError) Error() string {
+	return fmt.Sprintf("vid %d out of range [0, %d)", e.VID, e.N)
+}
 
 // BlockGraph is an out-of-core graph: the topology skeleton (degrees and
 // offsets) in memory, the adjacency in FLASHBLK blocks behind an io.ReaderAt.
@@ -151,10 +205,28 @@ type BlockGraph struct {
 	blocks        [2][]blockMeta
 	payloadStart  int64
 
+	// checked[d][i] is set once block i of stored direction d has passed
+	// the full validating walk; later loads re-check CRC and framing only.
+	checked [2][]atomic.Bool
+
 	mu   sync.Mutex
 	skel *Graph
-	seq  [2]*DecodedBlock // per-direction MRU for sequential scans
+	seq  [2]seqScan // per-direction MRU for sequential scans
 }
+
+// seqScan is one direction's sequential-scan state: the most recently read
+// block, the append-only chunk the scan decodes rows into, and the last row
+// served (an undirected graph's in-query for v follows its out-query for v
+// and reads the same row).
+type seqScan struct {
+	blk  *Block
+	buf  []VID
+	last int // vertex of row, or -1
+	row  []VID
+}
+
+// seqChunk is the size in ids of a sequential-scan decode chunk.
+const seqChunk = 4 << 10
 
 // NumVertices returns |V|.
 func (bg *BlockGraph) NumVertices() int { return bg.n }
@@ -220,9 +292,12 @@ func (bg *BlockGraph) dirOff(d int) []int64 {
 	return bg.inOff
 }
 
-// ReadBlock reads, CRC-verifies, and decodes one block. Every call allocates
-// a fresh DecodedBlock; callers wanting reuse go through a BlockCache.
-func (bg *BlockGraph) ReadBlock(dir, idx int) (*DecodedBlock, error) {
+// ReadBlock reads one block, verifies its CRC and indexes its rows. The
+// first successful load of each block also walks every row in full (framing,
+// every vid < n) before the block is handed out; a later load of the same
+// block, after an eviction, re-checks its CRC and framing. Every call
+// allocates a fresh Block; callers wanting reuse go through a BlockCache.
+func (bg *BlockGraph) ReadBlock(dir, idx int) (*Block, error) {
 	d := bg.mapDir(dir)
 	if idx < 0 || idx >= len(bg.blocks[d]) {
 		return nil, fmt.Errorf("graph: block %d/%d out of range", d, idx)
@@ -235,86 +310,122 @@ func (bg *BlockGraph) ReadBlock(dir, idx int) (*DecodedBlock, error) {
 	if crc32.Checksum(buf, blkCRCTable) != mt.crc {
 		return nil, fmt.Errorf("graph: block %d/%d crc mismatch", d, idx)
 	}
-	return bg.decodeBlock(d, mt, buf)
+	b, err := bg.indexBlock(d, mt, buf)
+	if err != nil {
+		return nil, fmt.Errorf("graph: block %d/%d: %w", d, idx, err)
+	}
+	if flag := &bg.checked[d][idx]; !flag.Load() {
+		for v := b.first; b.Contains(v); v++ {
+			if err := b.Each(v, keepGoing); err != nil {
+				return nil, fmt.Errorf("graph: block %d/%d: %w", d, idx, err)
+			}
+		}
+		flag.Store(true)
+	}
+	return b, nil
 }
 
-// decodeBlock expands one verified block payload into CSR form, validating
-// varint framing, vid bounds, and the exact byte budget.
-func (bg *BlockGraph) decodeBlock(d int, mt blockMeta, data []byte) (*DecodedBlock, error) {
-	off := bg.dirOff(d)
-	adj := make([]VID, mt.edges)
-	var ws []float32
-	if bg.weighted {
-		ws = make([]float32, mt.edges)
-	}
-	pos, k := 0, 0
-	for v := int(mt.first); v < int(mt.first)+int(mt.nv); v++ {
-		deg := int(off[v+1] - off[v])
-		prev := uint64(0)
-		for i := 0; i < deg; i++ {
-			x, sz := binary.Uvarint(data[pos:])
-			if sz <= 0 {
-				return nil, fmt.Errorf("graph: block truncated decoding vertex %d", v)
-			}
-			pos += sz
-			if i == 0 {
-				prev = x
-			} else {
-				prev += x
-			}
-			if prev >= uint64(bg.n) {
-				return nil, fmt.Errorf("graph: block vid %d out of range at vertex %d", prev, v)
-			}
-			adj[k] = VID(prev)
-			k++
+// keepGoing is the yield of the first-load validating walk.
+func keepGoing(VID, float32) bool { return true }
+
+// indexBlock checks a verified payload's framing and builds its row index in
+// one word-at-a-time pass. A row is its degree's count of uvarints, each
+// ending in a byte with the high bit clear, then 4 weight bytes per
+// neighbour when weighted; the rows must fill the payload exactly.
+func (bg *BlockGraph) indexBlock(d int, mt blockMeta, data []byte) (*Block, error) {
+	off := bg.dirOff(d)[mt.first : int(mt.first)+int(mt.nv)+1]
+	rows := make([]uint32, mt.nv+1)
+	pos := 0
+	for i := 0; i < int(mt.nv); i++ {
+		rows[i] = uint32(pos)
+		deg := int(off[i+1] - off[i])
+		var ok bool
+		if pos, ok = skipUvarints(data, pos, deg); !ok {
+			return nil, fmt.Errorf("block truncated decoding vertex %d", int(mt.first)+i)
 		}
 		if bg.weighted {
-			need := 4 * deg
-			if pos+need > len(data) {
-				return nil, fmt.Errorf("graph: block truncated in weights of vertex %d", v)
+			if len(data)-pos < 4*deg {
+				return nil, fmt.Errorf("block truncated in weights of vertex %d", int(mt.first)+i)
 			}
-			for i := 0; i < deg; i++ {
-				ws[k-deg+i] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos+4*i:]))
-			}
-			pos += need
+			pos += 4 * deg
 		}
 	}
 	if pos != len(data) {
-		return nil, fmt.Errorf("graph: %d trailing bytes in block", len(data)-pos)
+		return nil, fmt.Errorf("%d trailing bytes in block", len(data)-pos)
 	}
-	return &DecodedBlock{
-		first: mt.first,
-		nv:    int(mt.nv),
-		base:  off[mt.first],
-		off:   off[mt.first : int(mt.first)+int(mt.nv)+1],
-		adj:   adj,
-		ws:    ws,
-		enc:   len(data),
+	rows[mt.nv] = uint32(pos)
+	return &Block{
+		first:    mt.first,
+		n:        uint64(bg.n),
+		weighted: bg.weighted,
+		off:      off,
+		rows:     rows,
+		data:     data,
 	}, nil
+}
+
+// skipUvarints returns the offset just past the k-th uvarint starting at
+// pos, or false if data ends first. It counts terminator bytes eight at a
+// time: in a little-endian word, the bytes with the high bit clear are the
+// set bits of ^w & 0x80...80.
+func skipUvarints(data []byte, pos, k int) (int, bool) {
+	for k > 0 && len(data)-pos >= 8 {
+		t := ^binary.LittleEndian.Uint64(data[pos:]) & 0x8080808080808080
+		if c := bits.OnesCount64(t); c < k {
+			k -= c
+			pos += 8
+			continue
+		}
+		for ; k > 1; k-- {
+			t &= t - 1
+		}
+		return pos + bits.TrailingZeros64(t)>>3 + 1, true
+	}
+	for ; k > 0 && pos < len(data); pos++ {
+		if data[pos] < 0x80 {
+			k--
+		}
+	}
+	return pos, k == 0
 }
 
 // seqAdj serves the sequential-scan accessors through a one-block-per-
 // direction MRU: an ascending-vertex pass (partition construction, stats)
-// decodes each block exactly once. I/O or corruption errors panic — these
-// accessors mirror Graph's infallible signatures and a block file that fails
-// mid-scan is unusable anyway.
+// reads each block exactly once. Rows decode into an append-only chunk that
+// is replaced, never overwritten, when full, so a returned slice stays intact
+// while concurrent scans proceed; callers still must not retain it. I/O or
+// corruption errors panic — these accessors mirror Graph's infallible
+// signatures and a block file that fails mid-scan is unusable anyway.
 //
 //flash:blockowner the MRU slot is the sanctioned one-block residency
 func (bg *BlockGraph) seqAdj(dir int, v VID) []VID {
 	d := bg.mapDir(dir)
 	bg.mu.Lock()
 	defer bg.mu.Unlock()
-	b := bg.seq[d]
-	if b == nil || !b.Contains(v) {
-		dec, err := bg.ReadBlock(d, bg.blockOf(d, v))
-		if err != nil {
-			panic(fmt.Sprintf("graph: block scan: %v", err))
-		}
-		bg.seq[d] = dec
-		b = dec
+	s := &bg.seq[d]
+	if s.last == int(v) {
+		return s.row
 	}
-	adj, _ := b.Adj(v)
-	return adj
+	if s.blk == nil || !s.blk.Contains(v) {
+		b, err := bg.ReadBlock(d, bg.blockOf(d, v))
+		if err != nil {
+			panic(fmt.Errorf("graph: block scan: %w", err))
+		}
+		s.blk = b
+	}
+	off := bg.dirOff(d)
+	if deg := int(off[v+1] - off[v]); cap(s.buf)-len(s.buf) < deg {
+		s.buf = make([]VID, 0, max(deg, seqChunk))
+	}
+	start := len(s.buf)
+	if err := s.blk.Each(v, func(u VID, _ float32) bool {
+		s.buf = append(s.buf, u)
+		return true
+	}); err != nil {
+		panic(fmt.Errorf("graph: block scan: %w", err))
+	}
+	s.last, s.row = int(v), s.buf[start:len(s.buf):len(s.buf)]
+	return s.row
 }
 
 // OutNeighbors returns u's out-neighbors via the sequential-scan MRU. It
@@ -364,15 +475,15 @@ func (bg *BlockGraph) EdgeBytes() uint64 {
 }
 
 // IndexBytes returns the resident footprint of the in-memory index: offset
-// arrays and block tables. Together with a cache budget this is what an
-// out-of-core graph costs in RAM.
+// arrays, block tables and first-load flags. Together with a cache budget
+// this is what an out-of-core graph costs in RAM.
 func (bg *BlockGraph) IndexBytes() uint64 {
 	total := uint64(cap(bg.outOff)) * 8
 	if bg.directed {
 		total += uint64(cap(bg.inOff)) * 8
 	}
 	for d := range bg.blocks {
-		total += uint64(cap(bg.blocks[d])) * blkEntrySize
+		total += uint64(cap(bg.blocks[d]))*blkEntrySize + uint64(len(bg.checked[d]))*4
 	}
 	return total
 }
@@ -783,7 +894,7 @@ func OpenBlockReader(r io.ReaderAt, size int64) (*BlockGraph, error) {
 			return nil, err
 		}
 	}
-	return &BlockGraph{
+	bg := &BlockGraph{
 		r:            r,
 		n:            n,
 		m:            m,
@@ -795,5 +906,9 @@ func OpenBlockReader(r io.ReaderAt, size int64) (*BlockGraph, error) {
 		inOff:        inOff,
 		blocks:       [2][]blockMeta{outMetas, inMetas},
 		payloadStart: payloadStart,
-	}, nil
+	}
+	bg.seq[BlockOut].last, bg.seq[BlockIn].last = -1, -1
+	bg.checked[BlockOut] = make([]atomic.Bool, len(outMetas))
+	bg.checked[BlockIn] = make([]atomic.Bool, len(inMetas))
+	return bg, nil
 }

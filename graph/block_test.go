@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"flash/internal/bitset"
@@ -60,11 +62,11 @@ func assertSameTopology(t *testing.T, g *Graph, bg *BlockGraph) {
 		if got := bg.InNeighbors(u); !equalVIDs(got, wantIn) {
 			t.Fatalf("in(%d): got %v want %v", v, got, wantIn)
 		}
-		dec, err := bg.ReadBlock(BlockOut, bg.OutBlockOf(u))
+		blk, err := bg.ReadBlock(BlockOut, bg.OutBlockOf(u))
 		if err != nil {
 			t.Fatalf("ReadBlock out of %d: %v", v, err)
 		}
-		adj, ws := dec.Adj(u)
+		adj, ws := blockRow(t, blk, u)
 		if !equalVIDs(adj, wantOut) {
 			t.Fatalf("block out(%d): got %v want %v", v, adj, wantOut)
 		}
@@ -78,10 +80,29 @@ func assertSameTopology(t *testing.T, g *Graph, bg *BlockGraph) {
 					t.Fatalf("weight(%d)[%d]: got %v want %v", v, i, ws[i], wantW[i])
 				}
 			}
-		} else if ws != nil {
-			t.Fatalf("unexpected weights for unweighted graph")
+		} else {
+			for i, w := range ws {
+				if w != 0 {
+					t.Fatalf("unweighted row %d yielded weight %v at %d", v, w, i)
+				}
+			}
 		}
 	}
+}
+
+// blockRow collects v's row from a resident block through Each.
+func blockRow(t *testing.T, b *Block, v VID) ([]VID, []float32) {
+	t.Helper()
+	var adj []VID
+	var ws []float32
+	if err := b.Each(v, func(u VID, w float32) bool {
+		adj = append(adj, u)
+		ws = append(ws, w)
+		return true
+	}); err != nil {
+		t.Fatalf("Each(%d): %v", v, err)
+	}
+	return adj, ws
 }
 
 func equalVIDs(a, b []VID) bool {
@@ -317,7 +338,7 @@ func TestBlockCacheOversizeBlockCachedAlone(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
-	if adj, _ := dec.Adj(0); len(adj) != 999 {
+	if adj, _ := blockRow(t, dec, 0); len(adj) != 999 {
 		t.Fatalf("hub degree %d, want 999", len(adj))
 	}
 	if st := c.Stats(); st.Hits != 1 || st.Evictions != 1 {
@@ -340,4 +361,164 @@ func TestBlockGraphFootprint(t *testing.T) {
 	if dbg.EdgeBytes() != uint64(dg.NumEdges())*8*2 {
 		t.Fatalf("directed weighted EdgeBytes = %d, want %d", dbg.EdgeBytes(), dg.NumEdges()*8*2)
 	}
+}
+
+// TestBlockHostileVIDRange loads a block that passes its CRC but names a vid
+// past n: the first-load walk must reject it with the typed error, every
+// time, and the cache must not keep it.
+func TestBlockHostileVIDRange(t *testing.T) {
+	img := hostileVIDImage()
+	bg, err := OpenBlockReader(bytes.NewReader(img), int64(len(img)))
+	if err != nil {
+		t.Fatalf("CRC-consistent hostile image rejected at open: %v", err)
+	}
+	for pass := 0; pass < 2; pass++ { // a failed first load must not mark the block checked
+		_, err := bg.ReadBlock(BlockOut, 0)
+		var re *VIDRangeError
+		if !errors.As(err, &re) {
+			t.Fatalf("pass %d: ReadBlock = %v, want a *VIDRangeError", pass, err)
+		}
+		if re.Vertex != 0 || re.VID != 128 || re.N != uint64(bg.NumVertices()) {
+			t.Fatalf("pass %d: range error %+v, want vertex 0, vid 128, n %d", pass, re, bg.NumVertices())
+		}
+	}
+	c := NewBlockCache(bg, 1<<20)
+	if _, err := c.Get(BlockOut, 0); !errors.As(err, new(*VIDRangeError)) {
+		t.Fatalf("cache Get = %v, want a *VIDRangeError", err)
+	}
+	if c.Bytes() != 0 {
+		t.Fatalf("a rejected block was cached: %d bytes resident", c.Bytes())
+	}
+	for i := 1; i < bg.NumBlocks(BlockOut); i++ {
+		if _, err := bg.ReadBlock(BlockOut, i); err != nil {
+			t.Fatalf("untouched block %d: %v", i, err)
+		}
+	}
+}
+
+// TestBlockRowsZeroAlloc gates the lazy row decoder: walking every row of a
+// resident block allocates nothing, weighted or not.
+func TestBlockRowsZeroAlloc(t *testing.T) {
+	for name, g := range map[string]*Graph{
+		"unweighted": GenRMAT(512, 4096, 3),
+		"weighted":   WithRandomWeights(GenRMAT(512, 4096, 3), 5),
+	} {
+		t.Run(name, func(t *testing.T) {
+			bg := openBlockBytes(t, g, 0)
+			blk, err := bg.ReadBlock(BlockOut, 0)
+			if err != nil {
+				t.Fatalf("ReadBlock: %v", err)
+			}
+			edges := 0
+			yield := func(VID, float32) bool { edges++; return true }
+			allocs := testing.AllocsPerRun(20, func() {
+				for v := blk.First(); blk.Contains(v); v++ {
+					if err := blk.Each(v, yield); err != nil {
+						t.Fatalf("Each(%d): %v", v, err)
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("iterating a resident block allocated %.1f times per pass", allocs)
+			}
+			if edges == 0 {
+				t.Fatalf("no edges iterated")
+			}
+		})
+	}
+}
+
+// benchBlockGraph is the block-benchmark graph: an RMAT graph with the
+// default 64 KiB block size, opened from memory.
+func benchBlockGraph(b *testing.B) *BlockGraph {
+	b.Helper()
+	buf := EncodeBlockFile(GenRMAT(16384, 16384*12, 101), 0)
+	bg, err := OpenBlockReader(bytes.NewReader(buf), int64(len(buf)))
+	if err != nil {
+		b.Fatalf("OpenBlockReader: %v", err)
+	}
+	return bg
+}
+
+// BenchmarkBlockLoad measures a cache miss after the first load: read, CRC
+// check and row index of one block, cycling through every block.
+func BenchmarkBlockLoad(b *testing.B) {
+	bg := benchBlockGraph(b)
+	nb := bg.NumBlocks(BlockOut)
+	for i := 0; i < nb; i++ { // first loads: the full validating walk
+		if _, err := bg.ReadBlock(BlockOut, i); err != nil {
+			b.Fatalf("ReadBlock: %v", err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bg.ReadBlock(BlockOut, i%nb); err != nil {
+			b.Fatalf("ReadBlock: %v", err)
+		}
+	}
+}
+
+// BenchmarkBlockRows measures a full decode of resident blocks: every row of
+// every block walked through Each, one block per op.
+func BenchmarkBlockRows(b *testing.B) {
+	bg := benchBlockGraph(b)
+	blks := make([]*Block, bg.NumBlocks(BlockOut))
+	for i := range blks {
+		var err error
+		if blks[i], err = bg.ReadBlock(BlockOut, i); err != nil {
+			b.Fatalf("ReadBlock: %v", err)
+		}
+	}
+	var sum uint64
+	yield := func(u VID, _ float32) bool { sum += uint64(u); return true }
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk := blks[i%len(blks)]
+		for v := blk.First(); blk.Contains(v); v++ {
+			if err := blk.Each(v, yield); err != nil {
+				b.Fatalf("Each: %v", err)
+			}
+		}
+	}
+	if sum == 0 {
+		b.Fatalf("no edges iterated")
+	}
+}
+
+// TestBlockFirstLoadConcurrent has two goroutines load every block of a
+// fresh graph at once, so both run the first-load validation of the same
+// blocks and race on its flags (CI runs this under -race), then walk every
+// row of a block they share through one cache, as a worker's threads do.
+func TestBlockFirstLoadConcurrent(t *testing.T) {
+	g := WithRandomWeights(GenRandomDirected(512, 4096, 9), 2)
+	bg := openBlockBytes(t, g, 512)
+	c := NewBlockCache(bg, 1<<20)
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, dir := range []int{BlockOut, BlockIn} {
+				for b := 0; b < bg.NumBlocks(dir) && errs[i] == nil; b++ {
+					_, errs[i] = bg.ReadBlock(dir, b)
+				}
+			}
+			shared, err := c.Get(BlockIn, 0)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			for v := shared.First(); shared.Contains(v) && errs[i] == nil; v++ {
+				errs[i] = shared.Each(v, func(VID, float32) bool { return true })
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", i, err)
+		}
+	}
+	assertSameTopology(t, g, bg)
 }

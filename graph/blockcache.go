@@ -9,7 +9,7 @@ import (
 // BlockCacheStats is a snapshot of cache activity counters.
 type BlockCacheStats struct {
 	Hits      uint64 // Get served from a resident block
-	Misses    uint64 // Get that read and decoded a block from disk
+	Misses    uint64 // Get that read and indexed a block from disk
 	Evictions uint64 // blocks dropped to stay under the byte budget
 
 	// Encoded bytes read from disk, split by the scheduling mode the cache
@@ -45,8 +45,8 @@ func (s BlockCacheStats) sub(o BlockCacheStats) BlockCacheStats {
 
 // cacheSlot is one (direction, block) residency slot.
 type cacheSlot struct {
-	dec *DecodedBlock // nil when not resident
-	ref bool          // clock reference bit
+	blk *Block // nil when not resident
+	ref bool   // clock reference bit
 }
 
 // clockRef names a resident slot on the clock ring.
@@ -55,11 +55,14 @@ type clockRef struct {
 	idx uint32
 }
 
-// BlockCache is a bounded cache of decoded FLASHBLK blocks with clock
-// (second-chance) eviction. One cache per worker keeps the hot path free of
-// cross-worker contention; the internal mutex only arbitrates a worker's own
-// Get calls against block I/O finishing on the same worker, so the per-edge
-// iteration loop itself never takes a lock.
+// BlockCache is a bounded cache of FLASHBLK blocks with clock (second-chance)
+// eviction. Blocks stay resident in their encoded form and are charged their
+// payload plus row-index bytes (Block.Bytes), so a budget holds roughly three
+// times as many blocks as the same bytes of decoded adjacency would.
+//
+// One cache per worker keeps the hot path free of cross-worker contention;
+// the internal mutex only arbitrates a worker's own threads' Get calls, so
+// the per-edge iteration loop itself never takes a lock.
 //
 // The cache is bimodal, mirroring the engine's dense/sparse switch:
 // BeginDense marks the superstep as a sequential stream of every block the
@@ -83,9 +86,9 @@ type BlockCache struct {
 	drained BlockCacheStats // portion already handed out by TakeDelta
 }
 
-// NewBlockCache returns a cache over bg bounded by budget decoded bytes.
+// NewBlockCache returns a cache over bg bounded by budget resident bytes.
 // Residency is minimum-one-block, so Bytes can transiently exceed a budget
-// smaller than a single decoded block.
+// smaller than a single block.
 func NewBlockCache(bg *BlockGraph, budget int64) *BlockCache {
 	if budget < 0 {
 		budget = 0
@@ -96,10 +99,10 @@ func NewBlockCache(bg *BlockGraph, budget int64) *BlockCache {
 	return c
 }
 
-// Budget returns the decoded-byte budget.
+// Budget returns the resident-byte budget.
 func (c *BlockCache) Budget() int64 { return c.budget }
 
-// Bytes returns the currently resident decoded bytes.
+// Bytes returns the currently resident bytes.
 func (c *BlockCache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -125,37 +128,37 @@ func (c *BlockCache) BeginSparse(planOut, planIn *bitset.Bitset) {
 	c.mu.Unlock()
 }
 
-// Get returns the decoded block idx of the given logical direction, reading
-// and decoding it (and evicting colder blocks) on a miss. The returned block
-// stays valid for the caller even if it is evicted afterwards — eviction
-// only drops the cache's reference.
+// Get returns block idx of the given logical direction, reading and indexing
+// it (and evicting colder blocks) on a miss. The returned block stays valid
+// for the caller even if it is evicted afterwards — eviction only drops the
+// cache's reference.
 //
 //flash:hotpath
-func (c *BlockCache) Get(dir, idx int) (*DecodedBlock, error) {
+func (c *BlockCache) Get(dir, idx int) (*Block, error) {
 	d := c.bg.mapDir(dir)
 	c.mu.Lock()
 	slot := &c.slots[d][idx]
-	if slot.dec != nil {
+	if slot.blk != nil {
 		slot.ref = true
 		c.stats.Hits++
-		dec := slot.dec
+		blk := slot.blk
 		c.mu.Unlock()
-		return dec, nil
+		return blk, nil
 	}
 	c.accountMiss(dir, d, idx)
 	c.mu.Unlock()
 
-	dec, err := c.bg.ReadBlock(d, idx)
+	blk, err := c.bg.ReadBlock(d, idx)
 	if err != nil {
 		return nil, err
 	}
 
 	c.mu.Lock()
-	if slot.dec == nil { // lost/won race only against this worker's own reentry
-		c.insert(d, idx, dec)
+	if slot.blk == nil { // lost/won race only against this worker's own reentry
+		c.insert(d, idx, blk)
 	}
 	c.mu.Unlock()
-	return dec, nil
+	return blk, nil
 }
 
 // accountMiss records a miss under c.mu: bytes by scheduling mode, and
@@ -173,19 +176,19 @@ func (c *BlockCache) accountMiss(dir, d, idx int) {
 	}
 }
 
-// insert makes dec resident under c.mu, evicting via the clock hand until
+// insert makes blk resident under c.mu, evicting via the clock hand until
 // the budget holds. Residency is minimum-one-block: a block bigger than the
 // whole budget evicts everything else and is cached alone — refusing to cache
 // it would turn a sequential scan over such blocks into one disk read and
-// full decode per *vertex* instead of per block.
+// index pass per *vertex* instead of per block.
 //
 //flash:blockowner the cache is the budget-bounded residency authority
-func (c *BlockCache) insert(d, idx int, dec *DecodedBlock) {
-	sz := dec.Bytes()
+func (c *BlockCache) insert(d, idx int, blk *Block) {
+	sz := blk.Bytes()
 	for c.used+sz > c.budget && len(c.ring) > 0 {
 		c.evictOne()
 	}
-	c.slots[d][idx] = cacheSlot{dec: dec, ref: true}
+	c.slots[d][idx] = cacheSlot{blk: blk, ref: true}
 	c.ring = append(c.ring, clockRef{dir: uint32(d), idx: uint32(idx)})
 	c.used += sz
 }
@@ -204,8 +207,8 @@ func (c *BlockCache) evictOne() {
 			c.hand++
 			continue
 		}
-		c.used -= slot.dec.Bytes()
-		slot.dec = nil
+		c.used -= slot.blk.Bytes()
+		slot.blk = nil
 		c.ring[c.hand] = c.ring[len(c.ring)-1]
 		c.ring = c.ring[:len(c.ring)-1]
 		c.stats.Evictions++

@@ -3,7 +3,9 @@
 // blockEdges makes the engine's kernels storage-oblivious — EdgeMapSparse and
 // EdgeMapDense call the same Out/In iterator interface, but each call resolves
 // the vertex's block and serves the adjacency from the worker's bounded block
-// cache instead of an in-memory CSR row. The bimodal scheduling of M-Flash
+// cache instead of an in-memory CSR row. Cached blocks stay encoded and each
+// call decodes only the row it walks, stopping when the kernel's yield does
+// (the pull kernel's early exit). The bimodal scheduling of M-Flash
 // falls out of the engine's existing Ligra density switch:
 //
 //   - Dense supersteps pull over every local master in ascending gid order,
@@ -28,50 +30,30 @@ import (
 // lives on the worker (cache) and the engine config (block graph).
 type blockEdges[V any] struct{}
 
-// getBlock fetches a decoded block through the worker's cache; an I/O or
-// corruption error panics, which parallelWorkers converts into a clean
-// non-recoverable superstep failure (replaying a read against a corrupt file
-// would fail identically).
+// eachRow fetches block idx through the worker's cache and walks v's row,
+// decoding only as far as yield asks. An I/O or corruption error panics,
+// which parallelWorkers converts into a clean non-recoverable superstep
+// failure (replaying a read against a corrupt file would fail identically).
 //
 //flash:hotpath
-func getBlock[V any](c *Ctx[V], dir, idx int) *graph.DecodedBlock {
-	dec, err := c.w.bcache.Get(dir, idx)
+func eachRow[V any](c *Ctx[V], dir, idx int, v graph.VID, yield func(graph.VID, float32) bool) {
+	blk, err := c.w.bcache.Get(dir, idx)
+	if err == nil {
+		err = blk.Each(v, yield)
+	}
 	if err != nil {
 		panic(fmt.Errorf("core: out-of-core edge read: %w", err))
 	}
-	return dec
 }
 
 //flash:hotpath
 func (blockEdges[V]) Out(c *Ctx[V], u graph.VID, yield func(graph.VID, float32) bool) {
-	bg := c.w.eng.cfg.BlockGraph
-	dec := getBlock(c, graph.BlockOut, bg.OutBlockOf(u))
-	adj, ws := dec.Adj(u)
-	for i, d := range adj {
-		var w float32
-		if ws != nil {
-			w = ws[i]
-		}
-		if !yield(d, w) {
-			return
-		}
-	}
+	eachRow(c, graph.BlockOut, c.w.eng.cfg.BlockGraph.OutBlockOf(u), u, yield)
 }
 
 //flash:hotpath
 func (blockEdges[V]) In(c *Ctx[V], d graph.VID, yield func(graph.VID, float32) bool) {
-	bg := c.w.eng.cfg.BlockGraph
-	dec := getBlock(c, graph.BlockIn, bg.InBlockOf(d))
-	adj, ws := dec.Adj(d)
-	for i, s := range adj {
-		var w float32
-		if ws != nil {
-			w = ws[i]
-		}
-		if !yield(s, w) {
-			return
-		}
-	}
+	eachRow(c, graph.BlockIn, c.w.eng.cfg.BlockGraph.InBlockOf(d), d, yield)
 }
 
 func (blockEdges[V]) SupportsIn() bool  { return true }

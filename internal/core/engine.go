@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -134,9 +135,10 @@ type Config struct {
 	// BlockGraph.Skeleton() (degrees and offsets resident, adjacency on disk).
 	// When Shared wraps a block graph, this field is adopted from it.
 	BlockGraph *graph.BlockGraph
-	// BlockCacheBytes bounds the total decoded-block cache budget, split
-	// evenly across workers. 0 with a BlockGraph selects 25% of the graph's
-	// decoded edge bytes (minimum 1 MiB). Ignored without a BlockGraph.
+	// BlockCacheBytes bounds the total block cache budget (payload plus
+	// row-index bytes of the resident blocks), split evenly across workers.
+	// 0 with a BlockGraph selects 25% of the graph's decoded edge bytes
+	// (minimum 1 MiB). Ignored without a BlockGraph.
 	BlockCacheBytes int64
 	// RunStats, when non-nil, receives the engine's final summary (RunResult
 	// counters plus the private state footprint) when the engine closes. A
@@ -446,6 +448,40 @@ type accShard[V any] struct {
 	set *bitset.Bitset
 }
 
+// buildPartition borrows the shared partition or builds a private one. An
+// out-of-core build streams the block file through accessors that panic on
+// a block that fails to load; that panic comes back here as the error.
+func buildPartition(g *graph.Graph, cfg *Config) (part *partition.Partitioned, err error) {
+	if cfg.BlockGraph != nil {
+		defer func() {
+			if r := recover(); r != nil {
+				e, ok := r.(error)
+				var rt runtime.Error
+				if !ok || errors.As(e, &rt) {
+					panic(r)
+				}
+				err = fmt.Errorf("core: out-of-core partition build: %w", e)
+			}
+		}()
+	}
+	if cfg.Shared != nil {
+		return cfg.Shared.Partition(cfg.Workers, cfg.UseHashPlacement), nil
+	}
+	var place partition.Placement
+	if cfg.UseHashPlacement {
+		place = partition.NewHash(g.NumVertices(), cfg.Workers)
+	} else {
+		place = partition.NewRange(g.NumVertices(), cfg.Workers)
+	}
+	var topo partition.Adjacency = g
+	if cfg.BlockGraph != nil {
+		// Mirror discovery streams the block file through the sequential
+		// MRU instead of touching the (absent) in-memory adjacency.
+		topo = cfg.BlockGraph
+	}
+	return partition.New(topo, place), nil
+}
+
 // NewEngine partitions g and allocates per-worker state.
 func NewEngine[V any](g *graph.Graph, cfg Config) (*Engine[V], error) {
 	if cfg.Shared != nil && cfg.BlockGraph == nil {
@@ -463,6 +499,11 @@ func NewEngine[V any](g *graph.Graph, cfg Config) (*Engine[V], error) {
 	if cfg.BlockGraph != nil && cfg.BlockGraph.Skeleton() != g {
 		return nil, &ConfigError{"BlockGraph", "is not the backend of the graph passed to NewEngine (use BlockGraph.Skeleton())"}
 	}
+	part, err := buildPartition(g, &cfg)
+	if err != nil {
+		return nil, err
+	}
+	partShared := cfg.Shared != nil
 	tr := cfg.Transport
 	if tr == nil {
 		if cfg.UseTCP {
@@ -480,26 +521,6 @@ func NewEngine[V any](g *graph.Graph, cfg Config) (*Engine[V], error) {
 	}
 	if cfg.DrainTimeout > 0 {
 		tr.SetDrainTimeout(cfg.DrainTimeout)
-	}
-	var part *partition.Partitioned
-	partShared := false
-	if cfg.Shared != nil {
-		part = cfg.Shared.Partition(cfg.Workers, cfg.UseHashPlacement)
-		partShared = true
-	} else {
-		var place partition.Placement
-		if cfg.UseHashPlacement {
-			place = partition.NewHash(g.NumVertices(), cfg.Workers)
-		} else {
-			place = partition.NewRange(g.NumVertices(), cfg.Workers)
-		}
-		var topo partition.Adjacency = g
-		if cfg.BlockGraph != nil {
-			// Mirror discovery streams the block file through the sequential
-			// MRU instead of touching the (absent) in-memory adjacency.
-			topo = cfg.BlockGraph
-		}
-		part = partition.New(topo, place)
 	}
 	place := part.Place
 	e := &Engine[V]{
@@ -820,6 +841,11 @@ type parforJob struct {
 	nchunks int32
 	next    atomic.Int32
 	wg      sync.WaitGroup
+	// panicked holds the first chunk's panic value. A panic on a helper
+	// goroutine would kill the process, so every runner recovers and the
+	// caller re-raises it after the join, where parallelWorkers turns it
+	// into a superstep failure.
+	panicked atomic.Pointer[any]
 }
 
 // run claims and executes chunks until the job is exhausted.
@@ -829,14 +855,26 @@ func (j *parforJob) run() {
 		if t >= int(j.nchunks) {
 			return
 		}
-		lo := t * j.chunk
-		hi := lo + j.chunk
-		if hi > j.total {
-			hi = j.total
-		}
-		j.f(t, lo, hi)
-		j.wg.Done()
+		j.runChunk(t)
 	}
+}
+
+// runChunk executes chunk t, recording rather than propagating a panic.
+func (j *parforJob) runChunk(t int) {
+	defer j.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			first := new(any)
+			*first = r
+			j.panicked.CompareAndSwap(nil, first)
+		}
+	}()
+	lo := t * j.chunk
+	hi := lo + j.chunk
+	if hi > j.total {
+		hi = j.total
+	}
+	j.f(t, lo, hi)
 }
 
 func newThreadPool(helpers int) *threadPool {
@@ -897,6 +935,9 @@ func (w *worker[V]) parforT(total int, f func(t, lo, hi int)) {
 	}
 	job.run()
 	job.wg.Wait()
+	if r := job.panicked.Load(); r != nil {
+		panic(*r)
+	}
 }
 
 // publishNext copies the buffered next states of the updated masters into

@@ -5,27 +5,32 @@ import (
 	"go/types"
 )
 
-// BlockRes is the static twin of PR 8's bounded-residency contract: a
-// *DecodedBlock handed out by graph.ReadBlock or a BlockCache lookup is valid
-// only until the clock hand evicts it, so no alias of its memory may outlive
-// the superstep scope that fetched it. FlashGraph enforces the same page-cache
-// ownership discipline at runtime; here a retained block is a diagnostic, not
-// a heisenbug over recycled memory.
+// BlockRes is the static twin of the out-of-core tier's bounded-residency
+// contract. A *Block handed out by graph.ReadBlock or a BlockCache lookup is
+// memory the cache's byte budget accounts for only while the cache holds it:
+// eviction drops the cache's reference, not the block, so an alias kept past
+// the superstep that fetched the block is resident memory the budget no
+// longer sees. The sequential-scan accessors (BlockGraph.OutNeighbors and
+// InNeighbors, reached directly or through partition.Adjacency) hand out
+// rows decoded into a scan chunk that is valid only until the next call by
+// the Adjacency contract; keeping one pins the chunk. FlashGraph enforces the
+// same page-cache ownership discipline at runtime; here a retained block or
+// row is a diagnostic, not an unbounded heap.
 //
-// Tainted values are (a) anything of type DecodedBlock (so the taint crosses
+// Tainted values are (a) anything of type Block (so the taint crosses
 // function boundaries by construction — returning the block itself is fine,
-// callers re-taint it), and (b) slices pulled out of one (DecodedBlock.Adj
-// aliases the decoded adjacency arena), tracked through local aliases and
-// module callees whose summaries flow a parameter to a return.
+// callers re-taint it), and (b) slices returned by a scan accessor, tracked
+// through local aliases and module callees whose summaries flow a parameter
+// to a return. Values a Block's Each yields are copies and carry no taint.
 //
 // Violations are the sinks that outlive the scope: stores to fields, globals,
-// maps, or slices; channel sends; go/defer captures; returning an adjacency
-// alias; and passing tainted memory to a module function whose summary says
-// it retains its argument. The cache's own bookkeeping is the sanctioned
-// owner and is marked //flash:blockowner.
+// maps, or slices; channel sends; go/defer captures; returning a scan row;
+// and passing tainted memory to a module function whose summary says it
+// retains its argument. The cache's own bookkeeping and the scan MRU are the
+// sanctioned owners and are marked //flash:blockowner.
 var BlockRes = &Analyzer{
 	Name: "blockres",
-	Doc:  "decoded block memory may not outlive its superstep scope (eviction recycles it)",
+	Doc:  "blocks and block-scan rows may not outlive their superstep scope (they escape the cache budget)",
 	Run:  runBlockRes,
 }
 
@@ -64,11 +69,8 @@ func checkBlockRes(p *Pass, f *Func) {
 		case *ast.SliceExpr:
 			return taintedExpr(e.X)
 		case *ast.CallExpr:
-			// A slice-returning method on a block aliases the arena (Adj).
-			if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok && isBlockExpr(p.Info, sel.X) {
-				if _, isSlice := typeOf(p.Info, e).(*types.Slice); isSlice {
-					return true
-				}
+			if isScanCall(p.Info, e) {
+				return true
 			}
 			// A module callee may flow a tainted argument back out.
 			if callee := p.Mod.CalleeOf(p.Info, e); callee != nil {
@@ -140,15 +142,15 @@ func checkBlockRes(p *Pass, f *Func) {
 				switch l := ast.Unparen(lhs).(type) {
 				case *ast.Ident:
 					if obj := p.Info.Uses[l]; obj != nil && p.Info.Defs[l] == nil && !declaredIn(obj, f.Decl) {
-						p.Reportf(n.Pos(), "decoded block memory stored in package state outlives its superstep scope; copy it out (eviction recycles the arena)")
+						p.Reportf(n.Pos(), "block memory stored in package state outlives its superstep scope and the cache budget; copy it out")
 					}
 				case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-					p.Reportf(n.Pos(), "decoded block memory stored through %s outlives its superstep scope; copy it out or mark the owner //flash:blockowner", types.ExprString(lhs))
+					p.Reportf(n.Pos(), "block memory stored through %s outlives its superstep scope and the cache budget; copy it out or mark the owner //flash:blockowner", types.ExprString(lhs))
 				}
 			}
 		case *ast.SendStmt:
 			if escapes(n.Value) {
-				p.Reportf(n.Pos(), "decoded block memory sent on a channel outlives its superstep scope; copy it out")
+				p.Reportf(n.Pos(), "block memory sent on a channel outlives its superstep scope and the cache budget; copy it out")
 			}
 		case *ast.GoStmt:
 			reportBlockCapture(p, f, n.Call, tainted, "go")
@@ -156,11 +158,11 @@ func checkBlockRes(p *Pass, f *Func) {
 			reportBlockCapture(p, f, n.Call, tainted, "defer")
 		case *ast.ReturnStmt:
 			for _, res := range n.Results {
-				// Returning the *DecodedBlock itself is fine — the taint is
-				// type-carried and re-attaches at every caller. Returning an
-				// adjacency slice hides the provenance, so it escapes.
+				// Returning the *Block itself is fine — the taint is
+				// type-carried and re-attaches at every caller. Returning a
+				// scan row hides the provenance, so it escapes.
 				if taintedExpr(res) && !isBlockExpr(p.Info, res) {
-					p.Reportf(n.Pos(), "returning an alias of decoded block adjacency; the arena is recycled on eviction — copy it or return the *DecodedBlock")
+					p.Reportf(n.Pos(), "returning a block-scan row; it is valid only until the next scan call — copy it")
 				}
 			}
 		case *ast.CallExpr:
@@ -170,7 +172,7 @@ func checkBlockRes(p *Pass, f *Func) {
 			}
 			for j, a := range n.Args {
 				if flag(callee.Sum.RetainsParam, paramIndex(callee, j, len(n.Args))) && escapes(a) {
-					p.Reportf(n.Pos(), "decoded block memory passed to %s, which retains its argument past the call", callee.Name())
+					p.Reportf(n.Pos(), "block memory passed to %s, which retains its argument past the call", callee.Name())
 				}
 			}
 		}
@@ -179,7 +181,7 @@ func checkBlockRes(p *Pass, f *Func) {
 }
 
 // reportBlockCapture flags go/defer calls whose arguments or closure captures
-// alias decoded block memory.
+// alias block memory.
 func reportBlockCapture(p *Pass, f *Func, call *ast.CallExpr, tainted map[types.Object]bool, kind string) {
 	offends := false
 	for _, a := range call.Args {
@@ -196,19 +198,22 @@ func reportBlockCapture(p *Pass, f *Func, call *ast.CallExpr, tainted map[types.
 			if !ok {
 				return true
 			}
-			if obj := p.Info.Uses[id]; obj != nil && (tainted[obj] || isBlockObj(obj)) && declaredIn(obj, f.Decl) {
+			// A capture is declared in the enclosing function but outside the
+			// literal; a block the goroutine fetches for itself is its own.
+			if obj := p.Info.Uses[id]; obj != nil && (tainted[obj] || isBlockObj(obj)) &&
+				declaredIn(obj, f.Decl) && (obj.Pos() < lit.Pos() || obj.Pos() >= lit.End()) {
 				offends = true
 			}
 			return true
 		})
 	}
 	if offends {
-		p.Reportf(call.Pos(), "decoded block memory captured by %s outlives its superstep scope; copy what the %s needs", kind, kind)
+		p.Reportf(call.Pos(), "block memory captured by %s outlives its superstep scope; copy what the %s needs", kind, kind)
 	}
 }
 
-// isBlockExpr reports whether e's static type is (a pointer to) a named type
-// called DecodedBlock — matched by name, like commerr's receiver table, so
+// isBlockExpr reports whether e's static type is (a pointer to) a struct
+// type named Block — matched by name, like commerr's receiver table, so
 // fixtures can model the contract without importing flash/graph.
 func isBlockExpr(info *types.Info, e ast.Expr) bool {
 	t := typeOfExpr(info, e)
@@ -227,5 +232,29 @@ func isBlockTypeNamed(t types.Type) bool {
 		t = ptr.Elem()
 	}
 	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "DecodedBlock"
+	if !ok || named.Obj().Name() != "Block" {
+		return false
+	}
+	_, isStruct := named.Underlying().(*types.Struct)
+	return isStruct
+}
+
+// scanReceivers names the types whose OutNeighbors/InNeighbors results are
+// block-scan rows: the block graph itself and the partitioner's Adjacency
+// interface it is reached through (an in-memory Graph's rows are not).
+var scanReceivers = map[string]bool{"BlockGraph": true, "Adjacency": true}
+
+// isScanCall reports whether call is OutNeighbors or InNeighbors on a scan
+// receiver.
+func isScanCall(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "OutNeighbors" && sel.Sel.Name != "InNeighbors") {
+		return false
+	}
+	t := typeOfExpr(info, sel.X)
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && scanReceivers[named.Obj().Name()]
 }

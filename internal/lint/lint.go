@@ -9,7 +9,7 @@
 //	detorder   — no map iteration reachable from //flash:deterministic code
 //	slotindex  — //flash:slot-indexed state is never indexed by a raw gid
 //	sharedmut  — //flash:immutable types are never written after publish
-//	blockres   — decoded block memory never outlives its superstep scope
+//	blockres   — blocks and block-scan rows never outlive their superstep scope
 //	phaseorder — //flash:phase call edges respect the superstep machine
 //
 // Since flashvet v2 the checks are interprocedural: RunAnalyzers builds a

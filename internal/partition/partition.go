@@ -15,8 +15,9 @@ import (
 // CSR graphs (*graph.Graph) and out-of-core block graphs (*graph.BlockGraph)
 // satisfy it, so partitions can be built by streaming a block file without
 // ever materializing the full adjacency. Implementations may return slices
-// that are only valid until the next call (the block graph's sequential MRU
-// does); the partitioner never retains them.
+// that are only valid until the next call (the block graph's scan rows are,
+// by contract); the partitioner never retains them, and flashvet's blockres
+// analyzer rejects code that does.
 type Adjacency interface {
 	NumVertices() int
 	OutNeighbors(u graph.VID) []graph.VID

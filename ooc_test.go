@@ -126,7 +126,7 @@ func TestBlockBackendTinyCache(t *testing.T) {
 	var st flash.RunStats
 	got, err := algo.CC(sk,
 		flash.WithBlockBackend(bg),
-		flash.WithBlockCacheBytes(64<<10), // a handful of decoded blocks
+		flash.WithBlockCacheBytes(64<<10), // a handful of blocks
 		flash.WithWorkers(2),
 		flash.WithRunStats(func(s flash.RunStats) { st = s }))
 	if err != nil {
@@ -170,5 +170,86 @@ func TestBlockHandleAdoption(t *testing.T) {
 	}
 	if st.Result.BlockMisses == 0 {
 		t.Fatalf("handle run did not go through the block backend")
+	}
+}
+
+// TestBlockBackendWeightedDirectedThreads extends the block-vs-CSR
+// equivalence to the paths the matrix above leaves out: weights trailing
+// each row's gaps (SSSP), a directed graph served from separate in-blocks,
+// and two threads per worker iterating the same resident blocks through one
+// cache (CI runs this under -race). Each block run must match the CSR run
+// with the same options exactly.
+func TestBlockBackendWeightedDirectedThreads(t *testing.T) {
+	undirected := graph.WithRandomWeights(graph.GenRMAT(4096, 4096*10, 202), 7)
+	directed := graph.WithRandomWeights(graph.GenRandomDirected(4096, 4096*10, 203), 8)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		opts []flash.Option
+	}{
+		{"undirected-w2t1", undirected, []flash.Option{flash.WithWorkers(2)}},
+		{"undirected-w2t2", undirected, []flash.Option{flash.WithWorkers(2), flash.WithThreads(2)}},
+		{"directed-w2t1", directed, []flash.Option{flash.WithWorkers(2)}},
+		{"directed-w2t2", directed, []flash.Option{flash.WithWorkers(2), flash.WithThreads(2)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bg := openXLBlock(t, tc.g, 8<<10)
+			if tc.g.Directed() && bg.NumBlocks(graph.BlockIn) == 0 {
+				t.Fatalf("directed block file has no in-blocks")
+			}
+			var stats []flash.RunStats
+			blockOpts := append([]flash.Option{
+				flash.WithBlockBackend(bg),
+				flash.WithBlockCacheBytes(int64(bg.EdgeBytes()) / 5),
+				flash.WithRunStats(func(s flash.RunStats) { stats = append(stats, s) }),
+			}, tc.opts...)
+			sk := bg.Skeleton()
+			for _, root := range []graph.VID{0, 777} {
+				wantBFS, err := algo.BFS(tc.g, root, tc.opts...)
+				if err != nil {
+					t.Fatalf("CSR BFS: %v", err)
+				}
+				gotBFS, err := algo.BFS(sk, root, blockOpts...)
+				if err != nil {
+					t.Fatalf("block BFS: %v", err)
+				}
+				for i := range wantBFS {
+					if gotBFS[i] != wantBFS[i] {
+						t.Fatalf("BFS(%d)[%d] = %d, want %d", root, i, gotBFS[i], wantBFS[i])
+					}
+				}
+				wantSSSP, err := algo.SSSP(tc.g, root, tc.opts...)
+				if err != nil {
+					t.Fatalf("CSR SSSP: %v", err)
+				}
+				gotSSSP, err := algo.SSSP(sk, root, blockOpts...)
+				if err != nil {
+					t.Fatalf("block SSSP: %v", err)
+				}
+				for i := range wantSSSP {
+					if gotSSSP[i] != wantSSSP[i] {
+						t.Fatalf("SSSP(%d)[%d] = %v, want %v", root, i, gotSSSP[i], wantSSSP[i])
+					}
+				}
+			}
+			wantPR, err := algo.PageRank(tc.g, 10, 0, tc.opts...)
+			if err != nil {
+				t.Fatalf("CSR PageRank: %v", err)
+			}
+			gotPR, err := algo.PageRank(sk, 10, 0, blockOpts...)
+			if err != nil {
+				t.Fatalf("block PageRank: %v", err)
+			}
+			for i := range wantPR {
+				if gotPR[i] != wantPR[i] {
+					t.Fatalf("PageRank[%d] = %v, want %v", i, gotPR[i], wantPR[i])
+				}
+			}
+			for i, s := range stats {
+				if s.Result.BlockMisses == 0 || s.Result.BlockEvictions == 0 {
+					t.Fatalf("run %d: want block reads with eviction, got %+v", i, s.Result)
+				}
+			}
+		})
 	}
 }
