@@ -1,21 +1,23 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates edges and produces an immutable Graph. The zero value
 // is not usable; call NewBuilder.
 //
 // Building performs: optional symmetrization (undirected mode), per-vertex
-// neighbor sorting, and optional duplicate/self-loop elimination. These
-// normalizations are what the algorithms in this repository assume.
+// neighbor sorting, merging of parallel edges (keeping the smallest weight),
+// and optional self-loop elimination. These normalizations are what the
+// algorithms in this repository assume; in particular no built Graph has
+// parallel edges.
 type Builder struct {
 	n          int
 	directed   bool
 	weighted   bool
-	dedup      bool
 	keepLoops  bool
 	name       string
 	srcs, dsts []VID
@@ -23,12 +25,12 @@ type Builder struct {
 }
 
 // NewBuilder returns a Builder for a graph with n vertices. By default the
-// graph is undirected, unweighted, deduplicated, and self-loop-free.
+// graph is undirected, unweighted, and self-loop-free.
 func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	return &Builder{n: n, dedup: true}
+	return &Builder{n: n}
 }
 
 // Directed sets whether edges are directed. For undirected graphs every
@@ -38,9 +40,6 @@ func (b *Builder) Directed(d bool) *Builder { b.directed = d; return b }
 // Weighted enables edge weights; AddEdgeW must then be used (AddEdge adds
 // weight 1).
 func (b *Builder) Weighted(w bool) *Builder { b.weighted = w; return b }
-
-// Dedup sets whether parallel edges are merged (keeping the smallest weight).
-func (b *Builder) Dedup(d bool) *Builder { b.dedup = d; return b }
 
 // KeepSelfLoops retains self-loop edges (dropped by default).
 func (b *Builder) KeepSelfLoops(k bool) *Builder { b.keepLoops = k; return b }
@@ -64,89 +63,164 @@ func (b *Builder) AddEdgeW(u, v VID, w float32) *Builder {
 	return b
 }
 
-type edgeRec struct {
-	u, v VID
-	w    float32
-}
-
 // Build finalizes the graph. The builder may not be reused afterwards.
+//
+// Construction is linear in the edge count apart from sorting each row:
+// edges are bucketed by source, every out-row is sorted by (target, weight)
+// and parallel edges merged, and the in-adjacency is scattered from the
+// finished out-rows in ascending source order, which leaves every in-list
+// sorted by source.
 func (b *Builder) Build() *Graph {
-	edges := make([]edgeRec, 0, len(b.srcs)*2)
-	for i := range b.srcs {
-		u, v := b.srcs[i], b.dsts[i]
+	off := make([]int64, b.n+1)
+	for i, u := range b.srcs {
+		v := b.dsts[i]
 		if u == v && !b.keepLoops {
 			continue
 		}
-		var w float32 = 1
-		if b.weighted {
-			w = b.ws[i]
-		}
-		edges = append(edges, edgeRec{u, v, w})
+		off[u+1]++
 		if !b.directed && u != v {
-			edges = append(edges, edgeRec{v, u, w})
+			off[v+1]++
 		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		if edges[i].v != edges[j].v {
-			return edges[i].v < edges[j].v
-		}
-		return edges[i].w < edges[j].w
-	})
-	if b.dedup {
-		out := edges[:0]
-		for _, e := range edges {
-			if len(out) > 0 && out[len(out)-1].u == e.u && out[len(out)-1].v == e.v {
-				continue // keep the smallest weight (sorted above)
-			}
-			out = append(out, e)
-		}
-		edges = out
-	}
-
-	g := &Graph{n: b.n, m: len(edges), directed: b.directed, name: b.name}
-	g.outOff = make([]int64, b.n+1)
-	g.inOff = make([]int64, b.n+1)
-	g.outAdj = make([]VID, len(edges))
-	g.inAdj = make([]VID, len(edges))
-	if b.weighted {
-		g.outW = make([]float32, len(edges))
-		g.inW = make([]float32, len(edges))
-	}
-
-	for _, e := range edges {
-		g.outOff[e.u+1]++
-		g.inOff[e.v+1]++
 	}
 	for i := 0; i < b.n; i++ {
-		g.outOff[i+1] += g.outOff[i]
+		off[i+1] += off[i]
+	}
+	pos := make([]int64, b.n)
+	copy(pos, off[:b.n])
+
+	var adj []VID
+	var ws []float32
+	if b.weighted {
+		adj, ws = b.weightedRows(off, pos)
+	} else {
+		adj = b.unweightedRows(off, pos)
+	}
+	m := len(adj)
+
+	g := &Graph{n: b.n, m: m, directed: b.directed, name: b.name, outOff: off, outAdj: adj, outW: ws}
+	g.inOff = make([]int64, b.n+1)
+	for _, v := range adj {
+		g.inOff[v+1]++
+	}
+	for i := 0; i < b.n; i++ {
 		g.inOff[i+1] += g.inOff[i]
 	}
-	// Fill out-adjacency in sorted order directly.
-	pos := make([]int64, b.n)
-	copy(pos, g.outOff[:b.n])
-	for _, e := range edges {
-		p := pos[e.u]
-		g.outAdj[p] = e.v
-		if b.weighted {
-			g.outW[p] = e.w
-		}
-		pos[e.u]++
-	}
-	// Fill in-adjacency; since edges are sorted by (u,v), filling by v keeps
-	// each in-list sorted by source.
+	g.inAdj = make([]VID, m)
 	copy(pos, g.inOff[:b.n])
-	for _, e := range edges {
-		p := pos[e.v]
-		g.inAdj[p] = e.u
-		if b.weighted {
-			g.inW[p] = e.w
+	for u := 0; u < b.n; u++ {
+		for _, v := range adj[off[u]:off[u+1]] {
+			g.inAdj[pos[v]] = VID(u)
+			pos[v]++
 		}
-		pos[e.v]++
+	}
+	if b.weighted {
+		g.inW = g.inWeights(ws)
 	}
 	return g
+}
+
+// inWeights lines outW up with the in-adjacency. In-lists are sorted by
+// source, so scattering the out-rows in ascending source order fills each
+// in-list's weights in order.
+func (g *Graph) inWeights(outW []float32) []float32 {
+	inW := make([]float32, g.m)
+	pos := make([]int64, g.n)
+	copy(pos, g.inOff[:g.n])
+	for u := 0; u < g.n; u++ {
+		for i := g.outOff[u]; i < g.outOff[u+1]; i++ {
+			v := g.outAdj[i]
+			inW[pos[v]] = outW[i]
+			pos[v]++
+		}
+	}
+	return inW
+}
+
+// unweightedRows scatters the edges into out-rows laid out by off (pos holds
+// each row's write cursor), sorts each row, merges parallel edges, and
+// rewrites off to the merged layout.
+func (b *Builder) unweightedRows(off, pos []int64) []VID {
+	adj := make([]VID, off[b.n])
+	for i, u := range b.srcs {
+		v := b.dsts[i]
+		if u == v && !b.keepLoops {
+			continue
+		}
+		adj[pos[u]] = v
+		pos[u]++
+		if !b.directed && u != v {
+			adj[pos[v]] = u
+			pos[v]++
+		}
+	}
+	var w int64
+	for u, lo := 0, int64(0); u < b.n; u++ {
+		hi, start := off[u+1], w
+		row := adj[lo:hi]
+		slices.Sort(row)
+		for _, v := range row {
+			if w > start && adj[w-1] == v {
+				continue
+			}
+			adj[w] = v
+			w++
+		}
+		off[u+1], lo = w, hi
+	}
+	return rightSize(adj, w)
+}
+
+// weightedRows is unweightedRows for weighted edges: rows sort by (target,
+// weight), so merging parallel edges keeps the smallest weight.
+func (b *Builder) weightedRows(off, pos []int64) ([]VID, []float32) {
+	type arc struct {
+		v VID
+		w float32
+	}
+	arcs := make([]arc, off[b.n])
+	for i, u := range b.srcs {
+		v := b.dsts[i]
+		if u == v && !b.keepLoops {
+			continue
+		}
+		arcs[pos[u]] = arc{v, b.ws[i]}
+		pos[u]++
+		if !b.directed && u != v {
+			arcs[pos[v]] = arc{u, b.ws[i]}
+			pos[v]++
+		}
+	}
+	adj := make([]VID, len(arcs))
+	ws := make([]float32, len(arcs))
+	var w int64
+	for u, lo := 0, int64(0); u < b.n; u++ {
+		hi, start := off[u+1], w
+		row := arcs[lo:hi]
+		slices.SortFunc(row, func(x, y arc) int {
+			if c := cmp.Compare(x.v, y.v); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.w, y.w)
+		})
+		for _, a := range row {
+			if w > start && adj[w-1] == a.v {
+				continue
+			}
+			adj[w], ws[w] = a.v, a.w
+			w++
+		}
+		off[u+1], lo = w, hi
+	}
+	return rightSize(adj, w), rightSize(ws, w)
+}
+
+// rightSize returns s[:n] in an array of exactly n elements, so merging
+// parallel edges never leaves slack that Graph.MemBytes would count.
+func rightSize[T any](s []T, n int64) []T {
+	if int64(len(s)) == n {
+		return s
+	}
+	return append(make([]T, 0, n), s[:n]...)
 }
 
 // FromEdges is a convenience constructor for tests and examples: it builds an
@@ -159,16 +233,17 @@ func FromEdges(n int, directed bool, edges [][2]VID) *Graph {
 	return b.Build()
 }
 
-// Reverse returns a new graph with every stored directed edge flipped. For
-// undirected graphs (which store both directions) the result is structurally
-// identical to the input.
+// Reverse returns the graph with every stored directed edge flipped. It
+// shares g's immutable arrays: the reversed out-adjacency is g's
+// in-adjacency, already sorted by source. For undirected graphs (which store
+// both directions) the result is structurally identical to the input.
 func Reverse(g *Graph) *Graph {
-	b := NewBuilder(g.n).Directed(true).Weighted(g.Weighted()).Name(g.name + "-rev")
-	g.Edges(func(u, v VID, w float32) bool {
-		b.AddEdgeW(v, u, w)
-		return true
-	})
-	rg := b.Build()
-	rg.directed = g.directed
-	return rg
+	if g.Skeleton() {
+		skeletonPanic()
+	}
+	return &Graph{
+		n: g.n, m: g.m, directed: g.directed, name: g.name + "-rev",
+		outOff: g.inOff, outAdj: g.inAdj, outW: g.inW,
+		inOff: g.outOff, inAdj: g.outAdj, inW: g.outW,
+	}
 }

@@ -1,6 +1,9 @@
 package graph
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
 // The generators below are deterministic for a given seed and stand in for
 // the paper's real-world datasets (see DESIGN.md §1). Three structural
@@ -15,6 +18,12 @@ import "math/rand"
 // approximately m undirected edges using the recursive-matrix model with the
 // classic (0.57, 0.19, 0.19, 0.05) partition.
 func GenRMAT(n, m int, seed int64) *Graph {
+	return rmatBuilder(n, m, seed).Build()
+}
+
+// rmatBuilder and the other xxxBuilder functions return a generator's
+// Builder before Build, so tests can build the same edges another way.
+func rmatBuilder(n, m int, seed int64) *Builder {
 	rng := rand.New(rand.NewSource(seed))
 	levels := 0
 	for 1<<levels < n {
@@ -52,13 +61,17 @@ func GenRMAT(n, m int, seed int64) *Graph {
 	for i := 1; i < n; i++ {
 		b.AddEdge(VID(perm[i-1]), VID(perm[i]))
 	}
-	return b.Build()
+	return b
 }
 
 // GenGrid generates a rows x cols 2D grid (road-network analog): undirected,
 // degree <= 4, diameter rows+cols-2. A small fraction of random "highway"
 // chords can be added with chords > 0.
 func GenGrid(rows, cols, chords int, seed int64) *Graph {
+	return gridBuilder(rows, cols, chords, seed).Build()
+}
+
+func gridBuilder(rows, cols, chords int, seed int64) *Builder {
 	rng := rand.New(rand.NewSource(seed))
 	n := rows * cols
 	b := NewBuilder(n).Name("grid")
@@ -79,13 +92,17 @@ func GenGrid(rows, cols, chords int, seed int64) *Graph {
 			b.AddEdge(VID(u), VID(v))
 		}
 	}
-	return b.Build()
+	return b
 }
 
 // GenWeb generates a "web graph"-like undirected graph: k communities of
 // roughly equal size with dense intra-community preferential attachment, a
 // few hub vertices per community, and sparse inter-community links.
 func GenWeb(n, avgDeg, communities int, seed int64) *Graph {
+	return webBuilder(n, avgDeg, communities, seed).Build()
+}
+
+func webBuilder(n, avgDeg, communities int, seed int64) *Builder {
 	rng := rand.New(rand.NewSource(seed))
 	if communities < 1 {
 		communities = 1
@@ -125,12 +142,16 @@ func GenWeb(n, avgDeg, communities int, seed int64) *Graph {
 	for c := 1; c < communities; c++ {
 		b.AddEdge(VID(commStart(c-1)), VID(commStart(c)))
 	}
-	return b.Build()
+	return b
 }
 
 // GenErdosRenyi generates a G(n, m)-style random graph (m undirected edge
 // attempts), used mainly by tests.
 func GenErdosRenyi(n, m int, seed int64) *Graph {
+	return erBuilder(n, m, seed).Build()
+}
+
+func erBuilder(n, m int, seed int64) *Builder {
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(n).Name("er")
 	for i := 0; i < m; i++ {
@@ -139,11 +160,15 @@ func GenErdosRenyi(n, m int, seed int64) *Graph {
 			b.AddEdge(VID(u), VID(v))
 		}
 	}
-	return b.Build()
+	return b
 }
 
 // GenRandomDirected generates a directed random graph; used for SCC tests.
 func GenRandomDirected(n, m int, seed int64) *Graph {
+	return randDirBuilder(n, m, seed).Build()
+}
+
+func randDirBuilder(n, m int, seed int64) *Builder {
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(n).Directed(true).Name("randdir")
 	for i := 0; i < m; i++ {
@@ -152,7 +177,7 @@ func GenRandomDirected(n, m int, seed int64) *Graph {
 			b.AddEdge(VID(u), VID(v))
 		}
 	}
-	return b.Build()
+	return b
 }
 
 // GenPath generates the path 0-1-2-...-(n-1).
@@ -196,36 +221,46 @@ func GenComplete(n int) *Graph {
 // GenTree generates a random tree on n vertices (each vertex i>0 attaches to
 // a uniformly random earlier vertex).
 func GenTree(n int, seed int64) *Graph {
+	return treeBuilder(n, seed).Build()
+}
+
+func treeBuilder(n int, seed int64) *Builder {
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(n).Name("tree")
 	for i := 1; i < n; i++ {
 		b.AddEdge(VID(rng.Intn(i)), VID(i))
 	}
-	return b.Build()
+	return b
 }
 
 // WithRandomWeights returns a weighted copy of g with uniform weights in
 // (0, 1], mirroring the paper's "random weights are added" setup for
 // unweighted inputs. Both directions of an undirected edge get equal weight.
+// The copy shares g's immutable offset and adjacency arrays; only the weight
+// arrays are new.
 func WithRandomWeights(g *Graph, seed int64) *Graph {
+	if g.Skeleton() {
+		skeletonPanic()
+	}
 	rng := rand.New(rand.NewSource(seed))
-	b := NewBuilder(g.n).Directed(true).Weighted(true).Name(g.name + "-w")
-	type key struct{ u, v VID }
-	seen := make(map[key]float32)
-	g.Edges(func(u, v VID, _ float32) bool {
-		a, z := u, v
-		if !g.Directed() && a > z {
-			a, z = z, a
+	outW := make([]float32, g.m)
+	for u := 0; u < g.n; u++ {
+		lo := g.outOff[u]
+		for i, v := range g.outAdj[lo:g.outOff[u+1]] {
+			if g.directed || VID(u) <= v {
+				outW[lo+int64(i)] = float32(rng.Float64()*0.999) + 0.001
+				continue
+			}
+			// The twin v->u sits in the earlier row v, which drew its
+			// weight already; rows are sorted and hold no parallel edges.
+			row := g.outAdj[g.outOff[v]:g.outOff[v+1]]
+			j, _ := slices.BinarySearch(row, VID(u))
+			outW[lo+int64(i)] = outW[g.outOff[v]+int64(j)]
 		}
-		w, ok := seen[key{a, z}]
-		if !ok {
-			w = float32(rng.Float64()*0.999) + 0.001
-			seen[key{a, z}] = w
-		}
-		b.AddEdgeW(u, v, w)
-		return true
-	})
-	wg := b.Build()
-	wg.directed = g.directed
-	return wg
+	}
+	return &Graph{
+		n: g.n, m: g.m, directed: g.directed, name: g.name + "-w",
+		outOff: g.outOff, outAdj: g.outAdj, outW: outW,
+		inOff: g.inOff, inAdj: g.inAdj, inW: g.inWeights(outW),
+	}
 }

@@ -150,17 +150,20 @@ func TestEdgeListRoundTrip(t *testing.T) {
 
 func TestLoadEdgeListErrors(t *testing.T) {
 	cases := map[string]string{
-		"short line":  "1\n",
-		"bad src":     "x 1\n",
-		"bad dst":     "1 y\n",
-		"bad weight":  "1 2 zz\n",
-		"neg src":     "-1 2\n",
-		"overflow id": "99999999999 2\n",
+		"short line":      "1\n",
+		"bad src":         "x 1\n",
+		"bad dst":         "1 y\n",
+		"bad weight":      "1 2 zz\n",
+		"nan weight":      "1 2 NaN\n",
+		"neg src":         "-1 2\n",
+		"overflow id":     "99999999999 2\n",
+		"NoVertex source": "4294967295 2\n",
+		"NoVertex target": "2 4294967295\n",
 	}
 	for name, in := range cases {
-		opt := LoadOptions{Weighted: strings.Contains(in, "zz")}
-		if _, err := LoadEdgeList(strings.NewReader(in), opt); err == nil {
-			t.Errorf("%s: expected error", name)
+		_, err := LoadEdgeList(strings.NewReader("0 1 1\n"+in), LoadOptions{Weighted: true})
+		if err == nil || !strings.Contains(err.Error(), "line 2:") {
+			t.Errorf("%s: want an error naming line 2, got %v", name, err)
 		}
 	}
 	// Comments and blanks are fine.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -24,12 +25,16 @@ type LoadOptions struct {
 // line; '#' and '%' lines are comments). The vertex count is one plus the
 // largest id seen.
 func LoadEdgeList(r io.Reader, opt LoadOptions) (*Graph, error) {
-	type rawEdge struct {
-		u, v VID
-		w    float32
+	b, err := parseEdgeList(r, opt)
+	if err != nil {
+		return nil, err
 	}
-	var edges []rawEdge
-	maxID := -1
+	return b.Build(), nil
+}
+
+// parseEdgeList reads an edge list into a Builder sized to the largest id.
+func parseEdgeList(r io.Reader, opt LoadOptions) (*Builder, error) {
+	b := &Builder{directed: opt.Directed, weighted: opt.Weighted, name: opt.Name}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	line := 0
@@ -51,33 +56,38 @@ func LoadEdgeList(r io.Reader, opt LoadOptions) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad target %q: %w", line, fields[1], err)
 		}
+		// NoVertex is the "no vertex" sentinel, and as an id it would size
+		// the graph at 2^32 vertices.
+		if VID(u) == NoVertex || VID(v) == NoVertex {
+			return nil, fmt.Errorf("graph: line %d: vertex id %d is reserved (NoVertex)", line, NoVertex)
+		}
 		w := float32(1)
 		if opt.Weighted && len(fields) >= 3 {
 			wf, err := strconv.ParseFloat(fields[2], 32)
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad weight %q: %w", line, fields[2], err)
 			}
+			// NaN has no order, so neither the row order nor the
+			// smallest-weight merge of parallel edges would be defined.
+			if math.IsNaN(wf) {
+				return nil, fmt.Errorf("graph: line %d: weight %q is not a number", line, fields[2])
+			}
 			w = float32(wf)
 		}
 		if opt.MaxVertices > 0 && (u >= uint64(opt.MaxVertices) || v >= uint64(opt.MaxVertices)) {
 			return nil, fmt.Errorf("graph: line %d: vertex id beyond MaxVertices=%d", line, opt.MaxVertices)
 		}
-		edges = append(edges, rawEdge{VID(u), VID(v), w})
-		if int(u) > maxID {
-			maxID = int(u)
+		b.srcs = append(b.srcs, VID(u))
+		b.dsts = append(b.dsts, VID(v))
+		if opt.Weighted {
+			b.ws = append(b.ws, w)
 		}
-		if int(v) > maxID {
-			maxID = int(v)
-		}
+		b.n = max(b.n, int(u)+1, int(v)+1)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: reading edge list: %w", err)
 	}
-	b := NewBuilder(maxID + 1).Directed(opt.Directed).Weighted(opt.Weighted).Name(opt.Name)
-	for _, e := range edges {
-		b.AddEdgeW(e.u, e.v, e.w)
-	}
-	return b.Build(), nil
+	return b, nil
 }
 
 // LoadEdgeListFile opens path and parses it with LoadEdgeList. The dataset
