@@ -7,6 +7,7 @@ import (
 
 	"flash"
 	"flash/graph"
+	"flash/metrics"
 )
 
 // testGraphs are the undirected graphs most algorithm tests run over.
@@ -85,7 +86,7 @@ func TestCCOptMatchesCC(t *testing.T) {
 // than label propagation needs iterations.
 func TestCCOptFastOnLargeDiameter(t *testing.T) {
 	g := graph.GenPath(512)
-	col := newTraceCollector()
+	col := metrics.New()
 	if _, err := CC(g, flash.WithWorkers(2), flash.WithCollector(col)); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ package algo
 import (
 	"flash"
 	"flash/graph"
-	"flash/metrics"
 )
 
 // VID re-exports the vertex id type for convenience.
@@ -34,7 +33,3 @@ const (
 func newEngine[V any](g *graph.Graph, opts []flash.Option, extra ...flash.Option) (*flash.Engine[V], error) {
 	return flash.NewEngine[V](g, append(append([]flash.Option{}, opts...), extra...)...)
 }
-
-// newTraceCollector allocates a metrics collector for superstep counting in
-// tests and experiments.
-func newTraceCollector() *metrics.Collector { return metrics.New() }

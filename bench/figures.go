@@ -158,7 +158,8 @@ func Breakdown(w io.Writer, opt Options) error {
 		}
 		wall := time.Since(start).Seconds()
 		bd := col.Breakdown()
-		// "Other" includes driver time outside the tracked categories.
+		// "Other" is the rollback and replay time of in-process recovery;
+		// no other driver time is tracked.
 		fmt.Fprintf(tw, "%d\t%.0f%%\t%.0f%%\t%.0f%%\t%.0f%%\t%.4f\n",
 			workers, bd[metrics.Compute]*100, bd[metrics.Communication]*100,
 			bd[metrics.Serialization]*100, bd[metrics.Other]*100, wall)

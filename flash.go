@@ -111,7 +111,10 @@ func WithoutNecessaryMirrors() Option {
 	return func(c *core.Config) { c.DisableNecessaryMirrors = true }
 }
 
-// WithCollector directs runtime metrics into col.
+// WithCollector makes col a sink for the engine's counters: the engine
+// records its totals into col once, when it closes. A collector shared by
+// several engines (or several algorithm calls) holds their sums. Each run's
+// own counters are in RunResult and RunStats.
 func WithCollector(col *metrics.Collector) Option { return func(c *core.Config) { c.Collector = col } }
 
 // ---- out-of-core block backend ----
@@ -211,9 +214,10 @@ func NewFileCheckpointStore(path string) (CheckpointStore, error) {
 	return core.NewFileStore(path)
 }
 
-// RunResult summarizes a Run: supersteps executed plus the fault-tolerance
-// counters (checkpoints taken, recoveries performed, sends retried,
-// connections re-established).
+// RunResult summarizes a Run: the engine's cumulative counters (the same
+// metrics.Counters record a Collector sums), covering supersteps, traffic,
+// the §V-E time breakdown and the fault-tolerance, elasticity and
+// out-of-core counters. It is scoped to one engine.
 type RunResult = core.RunResult
 
 // WithCheckpointEvery snapshots all worker state every n successful
@@ -374,8 +378,8 @@ func (e *Engine[V]) Workers() int { return e.c.Workers() }
 // MaxRecoveries budget. VertexSubsets held across a resize remain valid.
 func (e *Engine[V]) Resize(n int) error { return e.c.Resize(n) }
 
-// Metrics returns the runtime metrics collector.
-func (e *Engine[V]) Metrics() *metrics.Collector { return e.c.Metrics() }
+// Metrics returns a copy of the engine's cumulative counters.
+func (e *Engine[V]) Metrics() metrics.Counters { return e.c.Metrics() }
 
 // ReplicationFactor returns the average copies per vertex of the partition.
 func (e *Engine[V]) ReplicationFactor() float64 { return e.c.ReplicationFactor() }

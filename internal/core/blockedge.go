@@ -119,14 +119,17 @@ func (w *worker[V]) planSparseBlocks(membership *bitset.Bitset) {
 	w.bcache.BeginSparse(w.resOut, w.resIn)
 }
 
-// flushBlockStats drains the cache's counter delta into the worker's metric
-// shard; parallelWorkers folds the shards into the engine collector at the
-// superstep barrier, so RunResult and the bench suite see per-step-accurate
-// totals.
+// flushBlockStats drains the cache's counter delta into the worker's
+// counters; parallelWorkers folds them into the engine's at the superstep
+// barrier, so RunResult and the bench suite see per-step-accurate totals.
 func (w *worker[V]) flushBlockStats() {
 	if w.bcache == nil {
 		return
 	}
 	d := w.bcache.TakeDelta()
-	w.met.AddBlockCache(d.Hits, d.Misses, d.Evictions, d.BytesDense, d.BytesSparse)
+	w.met.BlockHits += d.Hits
+	w.met.BlockMisses += d.Misses
+	w.met.BlockEvictions += d.Evictions
+	w.met.BlockBytesDense += d.BytesDense
+	w.met.BlockBytesSparse += d.BytesSparse
 }

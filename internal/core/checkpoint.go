@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"flash/metrics"
@@ -40,39 +41,9 @@ type runtimeFailure struct{ err error }
 
 func (r runtimeFailure) Error() string { return r.err.Error() }
 
-// RunResult summarizes a completed (or failed) run. Counters are cumulative
-// for the engine's collector.
-type RunResult struct {
-	Supersteps  int
-	Checkpoints uint64
-	Recoveries  uint64
-	Retries     uint64
-	Reconnects  uint64
-	// Restarts counts cold worker restarts after permanent worker losses,
-	// CheckpointBytes the encoded snapshot payload written to the store, and
-	// RecoveryTime the wall time spent inside recovery (rollback, replay,
-	// restart).
-	Restarts        uint64
-	CheckpointBytes uint64
-	RecoveryTime    time.Duration
-	// Resizes counts completed membership changes, MigratedBytes the master
-	// state shipped between partitions during their migration rounds, and
-	// ResizeTime the wall time the run spent paused at resize barriers.
-	Resizes       uint64
-	MigratedBytes uint64
-	ResizeTime    time.Duration
-	// Out-of-core block backend counters (zero without a BlockGraph):
-	// cache hits/misses/evictions, encoded bytes read from disk split by the
-	// scheduling mode of the superstep that read them, and how many EdgeMap
-	// supersteps ran in each mode.
-	BlockHits        uint64
-	BlockMisses      uint64
-	BlockEvictions   uint64
-	BlockBytesDense  uint64
-	BlockBytesSparse uint64
-	BlockStepsDense  uint64
-	BlockStepsSparse uint64
-}
+// RunResult summarizes a completed (or failed) run: the engine's cumulative
+// counters, including transport-level reconnects.
+type RunResult = metrics.Counters
 
 // Run executes a FLASH driver program with the engine's fault-tolerance
 // machinery engaged: a superstep that fails beyond what retry and
@@ -103,29 +74,20 @@ func (e *Engine[V]) Run(program func() error) (res RunResult, err error) {
 	return
 }
 
-// runResult snapshots the run counters from the collector and transport.
+// runResult copies the engine's counters and adds the transport's
+// reconnects. The frontier trace is clipped, not cloned: the engine only
+// appends to it, so the copy never sees a later superstep.
 func (e *Engine[V]) runResult() RunResult {
-	stats := e.tr.Stats()
-	return RunResult{
-		Supersteps:       e.met.Supersteps,
-		Checkpoints:      e.met.Checkpoints,
-		Recoveries:       e.met.Recoveries,
-		Retries:          e.met.Retries,
-		Reconnects:       e.met.Reconnects + stats.Reconnects,
-		Restarts:         e.met.Restarts,
-		CheckpointBytes:  e.met.CheckpointBytes,
-		RecoveryTime:     e.met.RecoveryTime,
-		Resizes:          e.met.Resizes,
-		MigratedBytes:    e.met.MigratedBytes,
-		ResizeTime:       e.met.ResizeTime,
-		BlockHits:        e.met.BlockHits,
-		BlockMisses:      e.met.BlockMisses,
-		BlockEvictions:   e.met.BlockEvictions,
-		BlockBytesDense:  e.met.BlockBytesDense,
-		BlockBytesSparse: e.met.BlockBytesSparse,
-		BlockStepsDense:  e.met.BlockStepsDense,
-		BlockStepsSparse: e.met.BlockStepsSparse,
-	}
+	res := e.met
+	res.Frontier = slices.Clip(res.Frontier)
+	res.Reconnects += e.tr.Stats().Reconnects
+	return res
+}
+
+// countStep records one superstep entering with the given frontier size.
+func (e *Engine[V]) countStep(frontier int) {
+	e.met.Supersteps++
+	e.met.Frontier = append(e.met.Frontier, frontier)
 }
 
 // OnCheckpoint registers driver-side state hooks: save is called when a
@@ -175,7 +137,7 @@ func (e *Engine[V]) execStep(frontier int, exec replayStep[V]) *Subset {
 			panic(runtimeFailure{err})
 		}
 	}
-	e.met.Step(frontier)
+	e.countStep(frontier)
 	out := e.newSubset()
 	err := exec(out)
 	for err != nil {
@@ -184,14 +146,14 @@ func (e *Engine[V]) execStep(frontier int, exec replayStep[V]) *Subset {
 			panic(runtimeFailure{err})
 		}
 		e.recoveries++
-		e.met.AddRecoveries(1)
+		e.met.Recoveries++
 		rstart := time.Now()
 		if victim, lost := killedWorker(err); lost {
 			e.coldRestart(victim)
 		}
 		out = e.newSubset()
 		err = e.rollbackReplay(exec, out)
-		e.met.AddRecoveryTime(time.Since(rstart))
+		e.met.RecoveryTime += time.Since(rstart)
 	}
 	out.recount()
 	if ckptOn {
@@ -252,19 +214,16 @@ func (e *Engine[V]) canRecover(err error) bool {
 func (e *Engine[V]) rollbackReplay(failed replayStep[V], out *Subset) error {
 	start := time.Now()
 	e.tr.Reset()
+	defer func() { e.met.OtherTime += time.Since(start) }()
 	if err := e.restoreCheckpoint(); err != nil {
-		e.met.Add(metrics.Other, time.Since(start))
 		return err
 	}
 	for _, step := range e.replayLog {
 		if err := step(e.newSubset()); err != nil {
-			e.met.Add(metrics.Other, time.Since(start))
 			return err
 		}
 	}
-	err := failed(out)
-	e.met.Add(metrics.Other, time.Since(start))
-	return err
+	return failed(out)
 }
 
 // Worker checkpoint section format (inside a CheckpointImage section):
@@ -349,8 +308,8 @@ func (e *Engine[V]) takeCheckpoint() error {
 	e.hasCkpt = true
 	e.replayLog = e.replayLog[:0]
 	e.stepsSince = 0
-	e.met.AddCheckpoints(1)
-	e.met.AddCheckpointBytes(total)
+	e.met.Checkpoints++
+	e.met.CheckpointBytes += total
 	return nil
 }
 

@@ -152,7 +152,7 @@ func (e *Engine[V]) execStepCluster(frontier int, exec replayStep[V]) *Subset {
 		if err := e.decodeStepRecord(rec.payload, out); err != nil {
 			e.clusterFail(err)
 		}
-		e.met.Step(frontier)
+		e.countStep(frontier)
 		out.recount()
 		return out
 	}
@@ -164,7 +164,7 @@ func (e *Engine[V]) execStepCluster(frontier int, exec replayStep[V]) *Subset {
 			e.clusterFail(err)
 		}
 	}
-	e.met.Step(frontier)
+	e.countStep(frontier)
 	out := e.newSubset()
 	err := exec(out)
 	if err == nil {
@@ -231,8 +231,7 @@ func (e *Engine[V]) shareStepOutput(out *Subset) error {
 			frameErr = err
 		}
 	})
-	e.met.Merge(w.met)
-	w.met.Reset()
+	e.foldCounters(e.workers[w.id : w.id+1])
 	if drainErr != nil {
 		return drainErr
 	}
@@ -356,8 +355,7 @@ func (e *Engine[V]) gatherCluster(f func(v graph.VID, val *V)) {
 			vals[gid] = *val
 			got++
 		})
-		e.met.Merge(w.met)
-		w.met.Reset()
+		e.foldCounters(e.workers[w.id : w.id+1])
 		if drainErr != nil {
 			e.clusterFail(drainErr)
 		}
@@ -406,7 +404,7 @@ func (e *Engine[V]) takeClusterCheckpoint() error {
 	}
 	e.hasCkpt = true
 	e.stepsSince = 0
-	e.met.AddCheckpoints(1)
-	e.met.AddCheckpointBytes(uint64(len(sect) + len(meta)))
+	e.met.Checkpoints++
+	e.met.CheckpointBytes += uint64(len(sect) + len(meta))
 	return nil
 }

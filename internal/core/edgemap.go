@@ -8,7 +8,6 @@ import (
 
 	"flash/graph"
 	"flash/internal/comm"
-	"flash/metrics"
 )
 
 // Callback types for EdgeMap, mirroring the paper's signatures with the edge
@@ -103,7 +102,7 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 		panic("core: virtual edge sets require Config.FullMirrors (communication beyond neighborhood)")
 	}
 	if e.cfg.BlockGraph != nil {
-		e.met.AddBlockSteps(0, 1)
+		e.met.BlockStepsSparse++
 	}
 	return e.execStep(U.Size(), func(out *Subset) error {
 		scope := e.scopeFor(H.Physical(), opts.NoSync)
@@ -111,7 +110,7 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 			membership := U.local[w.id]
 			// Out-of-core: plan the sparse superstep's block working set from
 			// the frontier before any edge is touched, and flush the cache
-			// counters into the metric shard however the step ends.
+			// counters into the worker's record however the step ends.
 			w.planSparseBlocks(membership)
 			defer w.flushBlockStats()
 
@@ -122,7 +121,7 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 			// the per-edge path. The push closure is hoisted out of the
 			// source loop (one allocation per chunk, not per source).
 			w.acc[0].set.Reset()
-			w.timeBlock(metrics.Compute, func() {
+			w.timeBlock(func() {
 				visitor := func(a *accShard[V]) func(l int) {
 					var uv Vtx[V]
 					push := func(d graph.VID, wt float32) bool {
@@ -222,8 +221,8 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 				msgs++
 				return true
 			})
-			w.met.Add(metrics.Serialization, time.Since(sstart))
-			w.met.AddTraffic(uint64(msgs), 0)
+			w.met.SerializationTime += time.Since(sstart)
+			w.met.Messages += uint64(msgs)
 			if sendErr != nil {
 				return sendErr
 			}
@@ -243,7 +242,7 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 			// in parallel over 64-aligned chunks (distinct local indices map
 			// to distinct masters, so cur writes never collide).
 			outBits := out.local[w.id]
-			w.timeBlock(metrics.Compute, func() {
+			w.timeBlock(func() {
 				pendWords := w.pendSet.Words()
 				w.parfor(w.pendSet.Cap(), func(lo, hi int) {
 					for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
@@ -336,7 +335,7 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V]
 		panic("core: virtual edge sets require Config.FullMirrors (communication beyond neighborhood)")
 	}
 	if e.cfg.BlockGraph != nil {
-		e.met.AddBlockSteps(1, 0)
+		e.met.BlockStepsDense++
 	}
 	return e.execStep(U.Size(), func(out *Subset) error {
 		scope := e.scopeFor(H.Physical(), opts.NoSync)
@@ -352,7 +351,7 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V]
 			outBits := out.local[w.id]
 			updated := w.nextSet
 			updated.Reset()
-			w.timeBlock(metrics.Compute, func() {
+			w.timeBlock(func() {
 				w.parfor(e.place.LocalCount(w.id), func(lo, hi int) {
 					// The pull closure is hoisted out of the target loop and
 					// mutates chunk-local state: one allocation per chunk
@@ -543,13 +542,13 @@ func (w *worker[V]) broadcastFrontier(U *Subset) error {
 			payload := comm.GetBufN(len(w.fenc))
 			copy(payload, w.fenc)
 			if err := w.send(to, payload); err != nil {
-				w.met.Add(metrics.Serialization, time.Since(sstart))
+				w.met.SerializationTime += time.Since(sstart)
 				return err
 			}
 		}
-		w.met.AddTraffic(uint64(e.cfg.Workers-1), 0)
+		w.met.Messages += uint64(e.cfg.Workers - 1)
 	}
-	w.met.Add(metrics.Serialization, time.Since(sstart))
+	w.met.SerializationTime += time.Since(sstart)
 	if err := e.tr.EndRound(w.id); err != nil {
 		return err
 	}
@@ -560,7 +559,7 @@ func (w *worker[V]) broadcastFrontier(U *Subset) error {
 			frameErr = err
 		}
 	})
-	w.met.Add(metrics.Communication, time.Since(cstart))
+	w.met.CommunicationTime += time.Since(cstart)
 	if drainErr != nil {
 		return drainErr
 	}

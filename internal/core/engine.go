@@ -81,7 +81,9 @@ type Config struct {
 	// "Overlap communication with computation"). Zero sends only at round
 	// end.
 	BatchBytes int
-	// Collector receives runtime metrics; nil allocates a private one.
+	// Collector, when non-nil, receives the engine's counters once, when it
+	// closes; a Collector shared by several engines sums them. nil means no
+	// sink: the counters stay readable through Metrics and RunResult.
 	Collector *metrics.Collector
 
 	// DrainTimeout bounds how long a worker waits for a peer's next frame
@@ -219,9 +221,6 @@ func (c *Config) fillDefaults() {
 	if c.DenseThreshold == 0 {
 		c.DenseThreshold = 20
 	}
-	if c.Collector == nil {
-		c.Collector = metrics.New()
-	}
 	if c.MaxRecoveries == 0 {
 		c.MaxRecoveries = 3
 	}
@@ -319,7 +318,9 @@ type Engine[V any] struct {
 	tr    comm.Transport
 	codec comm.Codec[V]
 	cfg   Config
-	met   *metrics.Collector
+	// met is the engine's own counter record, written only by the driver;
+	// the workers' records fold into it after every join (foldCounters).
+	met metrics.Counters
 
 	// partShared marks part as borrowed from Config.Shared's cache: it is
 	// read-only and must be forked (privatizePart) before any Rebuild.
@@ -438,7 +439,8 @@ type worker[V any] struct {
 	// direction).
 	resOut, resIn *bitset.Bitset
 
-	met *metrics.Collector
+	// met is the worker's counter record, written only by its own goroutine.
+	met metrics.Counters
 	ctx Ctx[V]
 }
 
@@ -531,7 +533,6 @@ func NewEngine[V any](g *graph.Graph, cfg Config) (*Engine[V], error) {
 		tr:         tr,
 		codec:      comm.CodecFor[V](),
 		cfg:        cfg,
-		met:        cfg.Collector,
 	}
 	e.opCond = sync.NewCond(&e.opMu)
 	e.placeHist = []partition.Placement{place}
@@ -574,10 +575,10 @@ func (e *Engine[V]) newWorkerAt(wi int, part *partition.Partitioned, place parti
 	}
 	if e.resident >= 0 && wi != e.resident {
 		// Cluster shell: the worker's state lives in a peer process. Only the
-		// shared placement metadata (and a metrics shard, for the merge loop)
-		// is kept; every state slice stays nil so any accidental local use
-		// fails loudly instead of silently diverging from the real owner.
-		w := &worker[V]{id: wi, eng: e, part: part.Parts[wi], st: st, met: metrics.New()}
+		// shared placement metadata is kept; every state slice stays nil so
+		// any accidental local use fails loudly instead of silently diverging
+		// from the real owner.
+		w := &worker[V]{id: wi, eng: e, part: part.Parts[wi], st: st}
 		w.ctx = Ctx[V]{G: e.g, w: w}
 		return w
 	}
@@ -594,7 +595,6 @@ func (e *Engine[V]) newWorkerAt(wi int, part *partition.Partitioned, place parti
 		pendSet:  bitset.New(place.LocalCount(wi)),
 		frontier: bitset.New(n),
 		outKV:    make([]comm.KVWriter[V], workers),
-		met:      metrics.New(),
 	}
 	// Shard 0 serves the sequential push path and the fold target of
 	// mergeAcc; the per-thread shards 1.. are lazy (ensureAccShards).
@@ -631,8 +631,9 @@ func (e *Engine[V]) Graph() *graph.Graph { return e.g }
 // Workers returns the configured worker count.
 func (e *Engine[V]) Workers() int { return e.cfg.Workers }
 
-// Metrics returns the engine's metrics collector.
-func (e *Engine[V]) Metrics() *metrics.Collector { return e.met }
+// Metrics returns a copy of the engine's cumulative counters, the same
+// record Run returns.
+func (e *Engine[V]) Metrics() metrics.Counters { return e.runResult() }
 
 // Config returns the engine's effective configuration.
 func (e *Engine[V]) Config() Config { return e.cfg }
@@ -701,16 +702,20 @@ func (e *Engine[V]) Close() error {
 			w.pool = nil
 		}
 	}
+	// Ops have drained and pools are stopped, so the cumulative counters
+	// and StateBytes are a stable final snapshot of this engine's work.
+	res := e.runResult()
+	if e.cfg.Collector != nil {
+		e.cfg.Collector.Record(res)
+	}
 	if e.cfg.RunStats != nil {
-		// Ops have drained and pools are stopped, so the cumulative counters
-		// and StateBytes are a stable final snapshot of this engine's work.
-		e.cfg.RunStats(RunStats{Result: e.runResult(), StateBytes: e.StateBytes(), Workers: e.cfg.Workers})
+		e.cfg.RunStats(RunStats{Result: res, StateBytes: e.StateBytes(), Workers: e.cfg.Workers})
 	}
 	return e.tr.Close()
 }
 
 // parallelWorkers runs f once per worker concurrently and waits; it then
-// folds worker metric shards into the engine collector.
+// folds the workers' counters into the engine's.
 //
 // Error propagation: the first worker to fail broadcasts an abort through
 // the transport so peers blocked in exchange rounds unblock promptly with
@@ -753,10 +758,7 @@ func (e *Engine[V]) parallelWorkers(f func(w *worker[V]) error) error {
 		}()
 	}
 	wg.Wait()
-	for _, w := range e.workers {
-		e.met.Merge(w.met)
-		w.met.Reset()
-	}
+	e.foldCounters(e.workers)
 	var secondary error
 	for wi, err := range errs {
 		if err == nil {
@@ -770,6 +772,15 @@ func (e *Engine[V]) parallelWorkers(f func(w *worker[V]) error) error {
 		}
 	}
 	return secondary
+}
+
+// foldCounters adds the records of ws into the engine's and zeroes them. It
+// runs on the driver after the goroutines writing ws have been joined.
+func (e *Engine[V]) foldCounters(ws []*worker[V]) {
+	for _, w := range ws {
+		e.met.Add(&w.met)
+		w.met = metrics.Counters{}
+	}
 }
 
 // workerPanic wraps a panic that escaped a worker goroutine. It is never
@@ -787,9 +798,9 @@ func (p *workerPanic) Error() string {
 
 // send ships one frame with retry: transient failures back off exponentially
 // (capped) up to cfg.SendRetries attempts, counting retries — and, after a
-// dropped connection heals, reconnects — into the worker's metric shard.
-// Payload bytes are counted on the first successful send, so the collector's
-// Bytes reflects delivered traffic, not retry amplification.
+// dropped connection heals, reconnects — into the worker's counters.
+// Payload bytes are counted on the first successful send, so Bytes reflects
+// delivered traffic, not retry amplification.
 //
 //flash:hotpath
 //flash:phase(ship,sync)
@@ -801,9 +812,9 @@ func (w *worker[V]) send(to int, data []byte) error {
 		err := e.tr.Send(w.id, to, data)
 		if err == nil {
 			if sawDrop {
-				w.met.AddReconnects(1)
+				w.met.Reconnects++
 			}
-			w.met.AddTraffic(0, uint64(len(data)))
+			w.met.Bytes += uint64(len(data))
 			return nil
 		}
 		if !comm.IsTransient(err) || attempt >= e.cfg.SendRetries {
@@ -812,7 +823,7 @@ func (w *worker[V]) send(to int, data []byte) error {
 		if errors.Is(err, comm.ErrConnDropped) {
 			sawDrop = true
 		}
-		w.met.AddRetries(1)
+		w.met.Retries++
 		time.Sleep(backoff)
 		if backoff < 100*e.cfg.RetryBackoff {
 			backoff *= 2
@@ -1055,13 +1066,13 @@ func (c *Ctx[V]) Get(v graph.VID) *V { return &c.w.cur[c.w.st.Slot(v)] }
 // Worker returns the worker id the context belongs to.
 func (c *Ctx[V]) Worker() int { return c.w.id }
 
-// timeBlock measures a closure into the worker's metric shard.
+// timeBlock measures a closure into the worker's computation time.
 //
 //flash:hotpath
-func (w *worker[V]) timeBlock(cat metrics.Category, f func()) {
+func (w *worker[V]) timeBlock(f func()) {
 	start := time.Now()
 	f()
-	w.met.Add(cat, time.Since(start))
+	w.met.ComputeTime += time.Since(start)
 }
 
 // StateBytes returns the resident per-worker property-state footprint, summed

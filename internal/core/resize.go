@@ -120,17 +120,17 @@ func (e *Engine[V]) Resize(n int) error {
 			return e.failed
 		}
 		e.recoveries++
-		e.met.AddRecoveries(1)
+		e.met.Recoveries++
 		rstart := time.Now()
 		rbErr := e.rollbackResize(old, err)
-		e.met.AddRecoveryTime(time.Since(rstart))
+		e.met.RecoveryTime += time.Since(rstart)
 		if rbErr != nil {
 			e.failed = fmt.Errorf("core: resize rollback failed: %w", rbErr)
 			return e.failed
 		}
 	}
-	e.met.AddResizes(1)
-	e.met.AddResizeTime(time.Since(start))
+	e.met.Resizes++
+	e.met.ResizeTime += time.Since(start)
 	if ckptOn {
 		// Capture the new layout; everything before the membership change
 		// leaves the replay log, so recovery never replays across epochs.
@@ -246,13 +246,10 @@ func (e *Engine[V]) migrate(oldN, newN, maxN int, newPlace partition.Placement, 
 		}()
 	}
 	wg.Wait()
-	e.met.AddMigratedBytes(migrated.Load())
+	e.met.MigratedBytes += migrated.Load()
 	// Senders counted their migration traffic (and retries) into the old
-	// workers' metric shards, which are discarded on success — fold them now.
-	for p := 0; p < oldN; p++ {
-		e.met.Merge(e.workers[p].met)
-		e.workers[p].met.Reset()
-	}
+	// workers' counters, which are discarded on success — fold them now.
+	e.foldCounters(e.workers[:oldN])
 	var secondary error
 	for p, err := range errs {
 		if err == nil {
@@ -394,7 +391,7 @@ func (e *Engine[V]) rollbackResize(old membership[V], cause error) error {
 		if rv, ok := e.tr.(comm.Reviver); ok {
 			rv.Revive(victim)
 		}
-		e.met.AddRestarts(1)
+		e.met.Restarts++
 	}
 	if err := e.restoreCheckpoint(); err != nil {
 		return err

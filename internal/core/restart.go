@@ -61,7 +61,7 @@ func (e *Engine[V]) coldRestart(victim int) {
 		rv.Revive(victim)
 	}
 	e.startHeartbeater(victim)
-	e.met.AddRestarts(1)
+	e.met.Restarts++
 }
 
 // restartBackoff scales the configured retry backoff exponentially with the

@@ -7,7 +7,6 @@ import (
 	"flash/graph"
 	"flash/internal/bitset"
 	"flash/internal/comm"
-	"flash/metrics"
 )
 
 // syncScope selects how far a master update propagates.
@@ -91,8 +90,8 @@ func (w *worker[V]) drainKV(apply func(gid graph.VID, val *V)) error {
 		}
 		decode += time.Since(dstart)
 	})
-	w.met.Add(metrics.Communication, time.Since(start)-decode)
-	w.met.Add(metrics.Serialization, decode)
+	w.met.CommunicationTime += time.Since(start) - decode
+	w.met.SerializationTime += decode
 	if drainErr != nil {
 		return drainErr
 	}
@@ -200,8 +199,8 @@ func (w *worker[V]) encodeSyncSeq(updated *bitset.Bitset, scope syncScope) error
 		}
 		return true
 	})
-	w.met.Add(metrics.Serialization, time.Since(sstart))
-	w.met.AddTraffic(uint64(msgs), 0)
+	w.met.SerializationTime += time.Since(sstart)
+	w.met.Messages += uint64(msgs)
 	return sendErr
 }
 
@@ -259,8 +258,8 @@ func (w *worker[V]) encodeSyncParallel(updated *bitset.Bitset, scope syncScope) 
 	for t := range w.encMsgs {
 		msgs += w.encMsgs[t]
 	}
-	w.met.Add(metrics.Serialization, time.Since(sstart))
-	w.met.AddTraffic(uint64(msgs), 0)
+	w.met.SerializationTime += time.Since(sstart)
+	w.met.Messages += uint64(msgs)
 	if sendErr != nil {
 		// Unshipped frames go back to the pool so a checkpoint replay
 		// starts clean.

@@ -1,7 +1,5 @@
 package core
 
-import "flash/metrics"
-
 // StepOpts tune a single primitive invocation.
 type StepOpts struct {
 	// NoSync marks the step's updates as master-local (not critical per the
@@ -30,7 +28,7 @@ func (e *Engine[V]) VertexMap(U *Subset, F func(Vtx[V]) bool, M func(Vtx[V]) V, 
 			outBits := out.local[w.id]
 			updated := w.nextSet
 			updated.Reset()
-			w.timeBlock(metrics.Compute, func() {
+			w.timeBlock(func() {
 				w.forEachMember(membership, U.Size(), func(l int) {
 					gid := e.place.GlobalID(w.id, l)
 					v := w.vtxMaster(gid, l)
@@ -68,7 +66,7 @@ func (e *Engine[V]) VertexMapC(U *Subset, F func(c *Ctx[V], v Vtx[V]) bool, M fu
 			outBits := out.local[w.id]
 			updated := w.nextSet
 			updated.Reset()
-			w.timeBlock(metrics.Compute, func() {
+			w.timeBlock(func() {
 				w.forEachMember(membership, U.Size(), func(l int) {
 					gid := e.place.GlobalID(w.id, l)
 					v := w.vtxMaster(gid, l)

@@ -12,7 +12,6 @@ import (
 	"flash"
 	"flash/algo"
 	"flash/graph"
-	"flash/metrics"
 )
 
 // JobParams carries the per-algorithm and per-run knobs of a job request.
@@ -116,7 +115,7 @@ const (
 
 // algoRegistry maps the service's algorithm names onto the algo package.
 // Every adapter threads opts through unchanged, so the scheduler's
-// WithGraphHandle/WithRunStats/WithCollector options reach the engine.
+// WithGraphHandle/WithRunStats options reach the engine.
 var algoRegistry = map[string]algoSpec{
 	"bfs": {needsRoot: true, run: func(g *graph.Graph, p JobParams, opts []flash.Option) (any, error) {
 		return algo.BFS(g, graph.VID(*p.Root), opts...)
@@ -288,13 +287,11 @@ func (j *Job) execute(defaultWorkers, defaultThreads int) (*JobResult, error) {
 	}
 
 	var stats flash.RunStats
-	col := metrics.New()
 	opts := []flash.Option{
 		flash.WithGraphHandle(j.handle),
 		flash.WithWorkers(workers),
 		flash.WithThreads(threads),
 		flash.WithRunStats(func(s flash.RunStats) { stats = s }),
-		flash.WithCollector(col),
 	}
 	if p.TCP != nil && *p.TCP {
 		opts = append(opts, flash.WithTCP())
@@ -314,7 +311,7 @@ func (j *Job) execute(defaultWorkers, defaultThreads int) (*JobResult, error) {
 		Supersteps: stats.Result.Supersteps,
 		StateBytes: stats.StateBytes,
 		Workers:    stats.Workers,
-		Resizes:    col.Resizes,
+		Resizes:    stats.Result.Resizes,
 		ElapsedNs:  time.Since(start).Nanoseconds(),
 	}, nil
 }

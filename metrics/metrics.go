@@ -1,7 +1,8 @@
-// Package metrics collects the runtime measurements the paper's evaluation
+// Package metrics holds the runtime measurements the paper's evaluation
 // reports: a piecewise breakdown of execution time (computation,
 // communication incl. waiting, serialization, other; §V-E), message/byte
-// counters, and the per-iteration active-vertex trace used by Fig. 4(a).
+// counters, the per-iteration active-vertex trace used by Fig. 4(a), and the
+// fault-tolerance, elasticity and out-of-core counters.
 package metrics
 
 import (
@@ -15,10 +16,10 @@ import (
 type Category int
 
 const (
-	Compute Category = iota
-	Communication
-	Serialization
-	Other
+	Compute       Category = iota // worker computation in the map kernels
+	Communication                 // transfer and waiting in exchange rounds
+	Serialization                 // encoding and decoding frames
+	Other                         // rollback and replay of in-process recovery only
 	numCategories
 )
 
@@ -37,17 +38,23 @@ func (c Category) String() string {
 	return fmt.Sprintf("category(%d)", int(c))
 }
 
-// Collector accumulates measurements for one run. Worker threads record into
-// private shards; Merge folds shards together. The zero value is unusable;
-// call New.
-type Collector struct {
-	mu         sync.Mutex
-	durations  [numCategories]time.Duration
+// Counters is one plain record of runtime measurements. It has no lock: the
+// engine keeps one per worker, written only by that worker's goroutine, and
+// one for the driver, into which it folds the worker records after each
+// join. The zero value is an empty record.
+type Counters struct {
 	Supersteps int
-	Messages   uint64
-	Bytes      uint64
 	// Frontier[i] is the number of active vertices entering superstep i.
 	Frontier []int
+	Messages uint64
+	Bytes    uint64
+
+	// The §V-E time breakdown. OtherTime holds the rollback and replay time
+	// of in-process recovery; no other driver time is tracked.
+	ComputeTime       time.Duration
+	CommunicationTime time.Duration
+	SerializationTime time.Duration
+	OtherTime         time.Duration
 
 	// Robustness counters (fault-tolerant runtime).
 	//
@@ -88,143 +95,53 @@ type Collector struct {
 	BlockStepsSparse uint64
 }
 
-// New returns an empty collector.
-func New() *Collector { return &Collector{} }
-
-// Add records d under category c.
-func (col *Collector) Add(c Category, d time.Duration) {
-	col.mu.Lock()
-	col.durations[c] += d
-	col.mu.Unlock()
+// Add folds o into c: every counter and duration is summed and o's frontier
+// trace is appended to c's.
+func (c *Counters) Add(o *Counters) {
+	c.Supersteps += o.Supersteps
+	c.Frontier = append(c.Frontier, o.Frontier...)
+	c.Messages += o.Messages
+	c.Bytes += o.Bytes
+	c.ComputeTime += o.ComputeTime
+	c.CommunicationTime += o.CommunicationTime
+	c.SerializationTime += o.SerializationTime
+	c.OtherTime += o.OtherTime
+	c.Retries += o.Retries
+	c.Reconnects += o.Reconnects
+	c.Recoveries += o.Recoveries
+	c.Checkpoints += o.Checkpoints
+	c.Restarts += o.Restarts
+	c.CheckpointBytes += o.CheckpointBytes
+	c.RecoveryTime += o.RecoveryTime
+	c.Resizes += o.Resizes
+	c.MigratedBytes += o.MigratedBytes
+	c.ResizeTime += o.ResizeTime
+	c.BlockHits += o.BlockHits
+	c.BlockMisses += o.BlockMisses
+	c.BlockEvictions += o.BlockEvictions
+	c.BlockBytesDense += o.BlockBytesDense
+	c.BlockBytesSparse += o.BlockBytesSparse
+	c.BlockStepsDense += o.BlockStepsDense
+	c.BlockStepsSparse += o.BlockStepsSparse
 }
 
-// Time runs f and records its wall time under c.
-func (col *Collector) Time(c Category, f func()) {
-	start := time.Now()
-	f()
-	col.Add(c, time.Since(start))
+// times returns the breakdown durations indexed by Category.
+func (c Counters) times() [numCategories]time.Duration {
+	return [...]time.Duration{c.ComputeTime, c.CommunicationTime, c.SerializationTime, c.OtherTime}
 }
 
-// AddTraffic records message and byte counts.
-func (col *Collector) AddTraffic(messages, bytes uint64) {
-	col.mu.Lock()
-	col.Messages += messages
-	col.Bytes += bytes
-	col.mu.Unlock()
-}
-
-// AddRetries records n retried transient send failures.
-func (col *Collector) AddRetries(n uint64) {
-	col.mu.Lock()
-	col.Retries += n
-	col.mu.Unlock()
-}
-
-// AddReconnects records n re-established connections.
-func (col *Collector) AddReconnects(n uint64) {
-	col.mu.Lock()
-	col.Reconnects += n
-	col.mu.Unlock()
-}
-
-// AddRecoveries records n checkpoint rollback+replay recoveries.
-func (col *Collector) AddRecoveries(n uint64) {
-	col.mu.Lock()
-	col.Recoveries += n
-	col.mu.Unlock()
-}
-
-// AddCheckpoints records n checkpoint snapshots.
-func (col *Collector) AddCheckpoints(n uint64) {
-	col.mu.Lock()
-	col.Checkpoints += n
-	col.mu.Unlock()
-}
-
-// AddRestarts records n cold worker restarts.
-func (col *Collector) AddRestarts(n uint64) {
-	col.mu.Lock()
-	col.Restarts += n
-	col.mu.Unlock()
-}
-
-// AddCheckpointBytes records n bytes of encoded checkpoint payload.
-func (col *Collector) AddCheckpointBytes(n uint64) {
-	col.mu.Lock()
-	col.CheckpointBytes += n
-	col.mu.Unlock()
-}
-
-// AddRecoveryTime records wall time spent recovering from a failure.
-func (col *Collector) AddRecoveryTime(d time.Duration) {
-	col.mu.Lock()
-	col.RecoveryTime += d
-	col.mu.Unlock()
-}
-
-// AddResizes records n completed membership changes.
-func (col *Collector) AddResizes(n uint64) {
-	col.mu.Lock()
-	col.Resizes += n
-	col.mu.Unlock()
-}
-
-// AddMigratedBytes records n bytes of master state shipped during migration.
-func (col *Collector) AddMigratedBytes(n uint64) {
-	col.mu.Lock()
-	col.MigratedBytes += n
-	col.mu.Unlock()
-}
-
-// AddResizeTime records wall time a run spent paused at a resize barrier.
-func (col *Collector) AddResizeTime(d time.Duration) {
-	col.mu.Lock()
-	col.ResizeTime += d
-	col.mu.Unlock()
-}
-
-// AddBlockCache records out-of-core block cache activity: hits, misses,
-// evictions, and encoded bytes read from disk by scheduling mode.
-func (col *Collector) AddBlockCache(hits, misses, evictions, bytesDense, bytesSparse uint64) {
-	col.mu.Lock()
-	col.BlockHits += hits
-	col.BlockMisses += misses
-	col.BlockEvictions += evictions
-	col.BlockBytesDense += bytesDense
-	col.BlockBytesSparse += bytesSparse
-	col.mu.Unlock()
-}
-
-// AddBlockSteps records EdgeMap supersteps executed against the block
-// backend, by scheduling mode.
-func (col *Collector) AddBlockSteps(dense, sparse uint64) {
-	col.mu.Lock()
-	col.BlockStepsDense += dense
-	col.BlockStepsSparse += sparse
-	col.mu.Unlock()
-}
-
-// Step records one superstep with the given entering frontier size.
-func (col *Collector) Step(frontier int) {
-	col.mu.Lock()
-	col.Supersteps++
-	col.Frontier = append(col.Frontier, frontier)
-	col.mu.Unlock()
-}
-
-// Duration returns the accumulated time for c.
-func (col *Collector) Duration(c Category) time.Duration {
-	col.mu.Lock()
-	defer col.mu.Unlock()
-	return col.durations[c]
+// Duration returns the accumulated time for cat.
+func (c Counters) Duration(cat Category) time.Duration {
+	if cat < 0 || cat >= numCategories {
+		return 0
+	}
+	return c.times()[cat]
 }
 
 // Total returns the sum over all categories.
-func (col *Collector) Total() time.Duration {
-	col.mu.Lock()
-	defer col.mu.Unlock()
+func (c Counters) Total() time.Duration {
 	var t time.Duration
-	for _, d := range col.durations {
+	for _, d := range c.times() {
 		t += d
 	}
 	return t
@@ -232,119 +149,59 @@ func (col *Collector) Total() time.Duration {
 
 // Breakdown returns the per-category shares (0..1). All zeros when nothing
 // was recorded.
-func (col *Collector) Breakdown() [4]float64 {
-	col.mu.Lock()
-	defer col.mu.Unlock()
-	var total time.Duration
-	for _, d := range col.durations {
-		total += d
-	}
-	var out [4]float64
+func (c Counters) Breakdown() [numCategories]float64 {
+	var out [numCategories]float64
+	total := c.Total()
 	if total == 0 {
 		return out
 	}
-	for i, d := range col.durations {
+	for i, d := range c.times() {
 		out[i] = float64(d) / float64(total)
 	}
 	return out
 }
 
-// Merge folds other into col.
-func (col *Collector) Merge(other *Collector) {
-	other.mu.Lock()
-	durs := other.durations
-	msgs, bytes := other.Messages, other.Bytes
-	steps := other.Supersteps
-	frontier := append([]int(nil), other.Frontier...)
-	retries, reconnects := other.Retries, other.Reconnects
-	recoveries, checkpoints := other.Recoveries, other.Checkpoints
-	restarts, ckptBytes, recTime := other.Restarts, other.CheckpointBytes, other.RecoveryTime
-	resizes, migBytes, rszTime := other.Resizes, other.MigratedBytes, other.ResizeTime
-	bHits, bMiss, bEvict := other.BlockHits, other.BlockMisses, other.BlockEvictions
-	bDense, bSparse := other.BlockBytesDense, other.BlockBytesSparse
-	bStepsD, bStepsS := other.BlockStepsDense, other.BlockStepsSparse
-	other.mu.Unlock()
-
-	col.mu.Lock()
-	for i := range durs {
-		col.durations[i] += durs[i]
-	}
-	col.Messages += msgs
-	col.Bytes += bytes
-	col.Supersteps += steps
-	col.Frontier = append(col.Frontier, frontier...)
-	col.Retries += retries
-	col.Reconnects += reconnects
-	col.Recoveries += recoveries
-	col.Checkpoints += checkpoints
-	col.Restarts += restarts
-	col.CheckpointBytes += ckptBytes
-	col.RecoveryTime += recTime
-	col.Resizes += resizes
-	col.MigratedBytes += migBytes
-	col.ResizeTime += rszTime
-	col.BlockHits += bHits
-	col.BlockMisses += bMiss
-	col.BlockEvictions += bEvict
-	col.BlockBytesDense += bDense
-	col.BlockBytesSparse += bSparse
-	col.BlockStepsDense += bStepsD
-	col.BlockStepsSparse += bStepsS
-	col.mu.Unlock()
-}
-
-// Reset clears all measurements.
-func (col *Collector) Reset() {
-	col.mu.Lock()
-	col.durations = [numCategories]time.Duration{}
-	col.Supersteps = 0
-	col.Messages = 0
-	col.Bytes = 0
-	col.Frontier = col.Frontier[:0]
-	col.Retries = 0
-	col.Reconnects = 0
-	col.Recoveries = 0
-	col.Checkpoints = 0
-	col.Restarts = 0
-	col.CheckpointBytes = 0
-	col.RecoveryTime = 0
-	col.Resizes = 0
-	col.MigratedBytes = 0
-	col.ResizeTime = 0
-	col.BlockHits = 0
-	col.BlockMisses = 0
-	col.BlockEvictions = 0
-	col.BlockBytesDense = 0
-	col.BlockBytesSparse = 0
-	col.BlockStepsDense = 0
-	col.BlockStepsSparse = 0
-	col.mu.Unlock()
-}
-
-// String formats the collector as a one-line report.
-func (col *Collector) String() string {
-	col.mu.Lock()
-	defer col.mu.Unlock()
+// String formats the record as a one-line report.
+func (c Counters) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "steps=%d msgs=%d bytes=%d", col.Supersteps, col.Messages, col.Bytes)
-	for c := Category(0); c < numCategories; c++ {
-		fmt.Fprintf(&sb, " %s=%s", c, col.durations[c].Round(time.Microsecond))
+	fmt.Fprintf(&sb, "steps=%d msgs=%d bytes=%d", c.Supersteps, c.Messages, c.Bytes)
+	for cat, d := range c.times() {
+		fmt.Fprintf(&sb, " %s=%s", Category(cat), d.Round(time.Microsecond))
 	}
-	if col.Retries+col.Reconnects+col.Recoveries+col.Checkpoints > 0 {
+	if c.Retries+c.Reconnects+c.Recoveries+c.Checkpoints > 0 {
 		fmt.Fprintf(&sb, " retries=%d reconnects=%d recoveries=%d checkpoints=%d",
-			col.Retries, col.Reconnects, col.Recoveries, col.Checkpoints)
+			c.Retries, c.Reconnects, c.Recoveries, c.Checkpoints)
 	}
-	if col.Restarts+col.CheckpointBytes > 0 || col.RecoveryTime > 0 {
+	if c.Restarts+c.CheckpointBytes > 0 || c.RecoveryTime > 0 {
 		fmt.Fprintf(&sb, " restarts=%d ckpt_bytes=%d recovery_time=%s",
-			col.Restarts, col.CheckpointBytes, col.RecoveryTime.Round(time.Microsecond))
+			c.Restarts, c.CheckpointBytes, c.RecoveryTime.Round(time.Microsecond))
 	}
-	if col.Resizes > 0 {
+	if c.Resizes > 0 {
 		fmt.Fprintf(&sb, " resizes=%d migrated_bytes=%d resize_time=%s",
-			col.Resizes, col.MigratedBytes, col.ResizeTime.Round(time.Microsecond))
+			c.Resizes, c.MigratedBytes, c.ResizeTime.Round(time.Microsecond))
 	}
-	if col.BlockHits+col.BlockMisses > 0 {
+	if c.BlockHits+c.BlockMisses > 0 {
 		fmt.Fprintf(&sb, " blk_hits=%d blk_misses=%d blk_evicts=%d blk_bytes_dense=%d blk_bytes_sparse=%d",
-			col.BlockHits, col.BlockMisses, col.BlockEvictions, col.BlockBytesDense, col.BlockBytesSparse)
+			c.BlockHits, c.BlockMisses, c.BlockEvictions, c.BlockBytesDense, c.BlockBytesSparse)
 	}
 	return sb.String()
+}
+
+// Collector is a sink for the totals of one or more engines. An engine
+// configured with a Collector records its counters into it once, when it
+// closes; a Collector shared by several engines holds their sums. Read its
+// fields once the engines writing to it have closed.
+type Collector struct {
+	mu sync.Mutex
+	Counters
+}
+
+// New returns an empty collector.
+func New() *Collector { return &Collector{} }
+
+// Record adds c to the collector's totals. It is safe for concurrent use.
+func (col *Collector) Record(c Counters) {
+	col.mu.Lock()
+	col.Counters.Add(&c)
+	col.mu.Unlock()
 }

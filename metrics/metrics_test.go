@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -8,11 +9,13 @@ import (
 )
 
 func TestAddAndBreakdown(t *testing.T) {
-	c := New()
-	c.Add(Compute, 3*time.Second)
-	c.Add(Communication, time.Second)
+	var c Counters
+	c.Add(&Counters{ComputeTime: 3 * time.Second, CommunicationTime: time.Second})
 	if c.Total() != 4*time.Second {
 		t.Fatalf("total %v", c.Total())
+	}
+	if c.Duration(Compute) != 3*time.Second || c.Duration(Category(99)) != 0 {
+		t.Fatalf("durations %v %v", c.Duration(Compute), c.Duration(Category(99)))
 	}
 	bd := c.Breakdown()
 	if bd[Compute] != 0.75 || bd[Communication] != 0.25 {
@@ -29,19 +32,13 @@ func TestEmptyBreakdown(t *testing.T) {
 	}
 }
 
-func TestTimeHelper(t *testing.T) {
-	c := New()
-	c.Time(Serialization, func() { time.Sleep(2 * time.Millisecond) })
-	if c.Duration(Serialization) < time.Millisecond {
-		t.Fatalf("Time recorded %v", c.Duration(Serialization))
-	}
-}
-
+// TestStepsAndTraffic records two supersteps and some traffic into a sink
+// and checks the step count, the frontier trace and the traffic totals.
 func TestStepsAndTraffic(t *testing.T) {
 	c := New()
-	c.Step(10)
-	c.Step(5)
-	c.AddTraffic(3, 300)
+	c.Record(Counters{Supersteps: 1, Frontier: []int{10}})
+	c.Record(Counters{Supersteps: 1, Frontier: []int{5}})
+	c.Record(Counters{Messages: 3, Bytes: 300})
 	if c.Supersteps != 2 || len(c.Frontier) != 2 || c.Frontier[1] != 5 {
 		t.Fatalf("steps %d frontier %v", c.Supersteps, c.Frontier)
 	}
@@ -50,14 +47,12 @@ func TestStepsAndTraffic(t *testing.T) {
 	}
 }
 
+// TestMerge folds one record into another and checks durations and counters
+// are summed per category.
 func TestMerge(t *testing.T) {
-	a, b := New(), New()
-	a.Add(Compute, time.Second)
-	a.Step(1)
-	b.Add(Compute, time.Second)
-	b.Add(Other, time.Second)
-	b.AddTraffic(1, 10)
-	a.Merge(b)
+	a := Counters{ComputeTime: time.Second, Supersteps: 1, Frontier: []int{1}}
+	b := Counters{ComputeTime: time.Second, OtherTime: time.Second, Messages: 1, Bytes: 10}
+	a.Add(&b)
 	if a.Duration(Compute) != 2*time.Second || a.Duration(Other) != time.Second {
 		t.Fatalf("merge durations: %v", a)
 	}
@@ -66,41 +61,80 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := New()
-	c.Add(Compute, time.Second)
-	c.Step(4)
-	c.AddTraffic(1, 1)
-	c.Reset()
-	if c.Total() != 0 || c.Supersteps != 0 || c.Messages != 0 || len(c.Frontier) != 0 {
-		t.Fatalf("reset left state: %v", c)
+// TestAddSumsEveryField sets every numeric field of two records to distinct
+// values and checks Add sums each one, so a counter added to Counters without
+// a line in Add fails here.
+func TestAddSumsEveryField(t *testing.T) {
+	var a, b Counters
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	typ := va.Type()
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := va.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+			vb.Field(i).SetInt(int64(100 * (i + 1)))
+		case reflect.Uint64:
+			f.SetUint(uint64(i + 1))
+			vb.Field(i).SetUint(uint64(100 * (i + 1)))
+		case reflect.Slice:
+			if typ.Field(i).Name != "Frontier" {
+				t.Fatalf("field %s: unexpected slice; extend Add and this test", typ.Field(i).Name)
+			}
+		default:
+			t.Fatalf("field %s: unhandled kind %s; extend Add and this test", typ.Field(i).Name, f.Kind())
+		}
+	}
+	a.Frontier, b.Frontier = []int{10}, []int{5, 3}
+	a.Add(&b)
+	for i := 0; i < typ.NumField(); i++ {
+		f := va.Field(i)
+		want := uint64(101 * (i + 1))
+		var got uint64
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			got = uint64(f.Int())
+		case reflect.Uint64:
+			got = f.Uint()
+		default:
+			continue
+		}
+		if got != want {
+			t.Errorf("Add: field %s = %d, want %d", typ.Field(i).Name, got, want)
+		}
+	}
+	if !reflect.DeepEqual(a.Frontier, []int{10, 5, 3}) {
+		t.Errorf("Add: frontier %v, want [10 5 3]", a.Frontier)
 	}
 }
 
-func TestConcurrentAdds(t *testing.T) {
-	c := New()
+// TestConcurrentRecord records into one shared Collector from several
+// goroutines; under -race it keeps the sink's locking tested.
+func TestConcurrentRecord(t *testing.T) {
+	col := New()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				c.Add(Compute, time.Millisecond)
-				c.AddTraffic(1, 2)
+				col.Record(Counters{Supersteps: 1, Frontier: []int{j}, Messages: 1, Bytes: 2, ComputeTime: time.Millisecond})
 			}
 		}()
 	}
 	wg.Wait()
-	if c.Duration(Compute) != 800*time.Millisecond || c.Messages != 800 {
-		t.Fatalf("concurrent adds lost updates: %v", c)
+	if col.Duration(Compute) != 800*time.Millisecond || col.Messages != 800 || col.Bytes != 1600 {
+		t.Fatalf("concurrent records lost updates: %v", col)
+	}
+	if col.Supersteps != 800 || len(col.Frontier) != 800 {
+		t.Fatalf("concurrent records lost steps: %d steps, %d frontier entries", col.Supersteps, len(col.Frontier))
 	}
 }
 
 func TestString(t *testing.T) {
-	c := New()
-	c.Step(1)
-	s := c.String()
-	for _, want := range []string{"steps=1", "computation=", "communication=", "serialization=", "other="} {
+	col := New()
+	col.Record(Counters{Supersteps: 1, Resizes: 1})
+	s := col.String()
+	for _, want := range []string{"steps=1", "computation=", "communication=", "serialization=", "other=", "resizes=1"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("String() = %q missing %q", s, want)
 		}
